@@ -142,12 +142,12 @@ void BM_MdlNegativeErrorBits(benchmark::State& state) {
 }
 BENCHMARK(BM_MdlNegativeErrorBits);
 
-// Offline rule-graph construction at 1/2/4 worker threads. The build is
-// bit-identical across thread counts, so the rows are directly comparable
-// speedup measurements; threaded rows verify that identity against a
-// 1-thread reference before timing (on the small world only — identity is
-// thread-count-dependent, not size-dependent) and fail the benchmark if
-// the outputs ever disagree.
+// Offline rule-graph construction at 1/2/4 worker threads, timed in wall
+// clock. The build is bit-identical across thread counts, so the rows are
+// directly comparable speedup measurements; threaded rows verify that
+// identity against a 1-thread reference before timing (on the small world
+// only — identity is thread-count-dependent, not size-dependent) and fail
+// the benchmark if the outputs ever disagree.
 void BM_RuleGraphBuild(benchmark::State& state) {
   const size_t facts = static_cast<size_t>(state.range(0));
   SyntheticGenerator gen(BenchWorld(facts));
@@ -176,36 +176,35 @@ void BM_RuleGraphBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_RuleGraphBuild)
     ->ArgsProduct({{3000, 12000}, {1, 2, 4}})
-    ->ArgNames({"facts", "threads"});
+    ->ArgNames({"facts", "threads"})
+    ->UseRealTime();
 
-// Offline build with the greedy-selection strategy as the axis:
-// speculative Δ-evaluation (the default; parallel per-sweep candidate
-// deltas + serial rank-order admission) vs the reference serial loop, at
-// 1/4 worker threads. Selection is bit-identical across strategies and
-// thread counts, so rows are directly comparable; every row first
-// verifies that identity against a 1-thread serial-loop reference (the
-// same equivalence gate BM_ProcessArrivalBatch uses) and fails the
-// benchmark if the paths ever disagree.
+// Offline build of the small world at 1/4 worker threads, timed in wall
+// clock. Candidate generation and costing shard across the workers while
+// the greedy selection passes (Algorithm 1 lines 7-12) run serially, so
+// the 4-thread row shows how much of the build the serial selection
+// leaves. The threaded row first verifies its build against a 1-thread
+// reference and fails the benchmark if they ever disagree.
 void BM_GreedySelection(benchmark::State& state) {
   SyntheticGenerator gen(BenchWorld(3000));
   auto graph = gen.Generate();
   AnoTOptions options;
   options.detector.timespan_tolerance = 10;
-  options.detector.speculative_selection = state.range(0) != 0;
-  options.num_threads = static_cast<size_t>(state.range(1));
+  options.num_threads = static_cast<size_t>(state.range(0));
 
-  AnoTOptions reference_options = options;
-  reference_options.detector.speculative_selection = false;
-  reference_options.num_threads = 1;
-  AnoT reference = AnoT::Build(*graph, reference_options);
-  AnoT candidate = AnoT::Build(*graph, options);
-  if (reference.rules().num_rules() != candidate.rules().num_rules() ||
-      reference.rules().num_edges() != candidate.rules().num_edges() ||
-      reference.report().total_bits() != candidate.report().total_bits()) {
-    state.SkipWithError(
-        "speculative and serial-loop selection disagree; timings are "
-        "meaningless");
-    return;
+  if (options.num_threads > 1) {
+    AnoTOptions reference_options = options;
+    reference_options.num_threads = 1;
+    AnoT reference = AnoT::Build(*graph, reference_options);
+    AnoT candidate = AnoT::Build(*graph, options);
+    if (reference.rules().num_rules() != candidate.rules().num_rules() ||
+        reference.rules().num_edges() != candidate.rules().num_edges() ||
+        reference.report().total_bits() != candidate.report().total_bits()) {
+      state.SkipWithError(
+          "1-thread and N-thread selection disagree; timings are "
+          "meaningless");
+      return;
+    }
   }
 
   for (auto _ : state) {
@@ -215,11 +214,13 @@ void BM_GreedySelection(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * graph->num_facts());
 }
 BENCHMARK(BM_GreedySelection)
-    ->ArgsProduct({{0, 1}, {1, 4}})
-    ->ArgNames({"speculative", "threads"});
+    ->Arg(1)
+    ->Arg(4)
+    ->ArgName("threads")
+    ->UseRealTime();
 
-// Four-view duration ensemble build (§4.7): views parallelize across the
-// pool on top of the sharded per-view pipeline.
+// Four-view duration ensemble build (§4.7), timed in wall clock: views
+// parallelize across the pool on top of the sharded per-view pipeline.
 void BM_DurationFourViewBuild(benchmark::State& state) {
   SyntheticGenerator gen(BenchWorld(3000));
   auto graph = gen.Generate();
@@ -232,95 +233,15 @@ void BM_DurationFourViewBuild(benchmark::State& state) {
     benchmark::DoNotOptimize(system.num_views());
   }
 }
-BENCHMARK(BM_DurationFourViewBuild)->Arg(1)->Arg(4)->ArgName("threads");
-
-// Batched const scoring on the serving pool at 1/2/4 threads. Scores are
-// bit-identical to scalar Score for every thread count (pinned by
-// online_test), so rows are directly comparable speedup measurements.
-void BM_ScoreBatch(benchmark::State& state) {
-  TimeSplit split = SplitByTimestamps(SharedGraph(), 0.6, 0.1);
-  auto train = Subgraph(SharedGraph(), split.train);
-  AnoTOptions options;
-  options.detector.timespan_tolerance = 10;
-  options.num_threads = static_cast<size_t>(state.range(0));
-  AnoT system = AnoT::Build(*train, options);
-
-  const size_t batch_size = static_cast<size_t>(state.range(1));
-  std::vector<Fact> batch(batch_size);
-  size_t next = 0;
-  for (auto _ : state) {
-    for (size_t i = 0; i < batch_size; ++i) {
-      batch[i] = SharedGraph().fact(split.test[next++ % split.test.size()]);
-    }
-    std::vector<Scores> scores = system.ScoreBatch(batch);
-    benchmark::DoNotOptimize(scores.data());
-  }
-  state.SetItemsProcessed(state.iterations() * batch_size);
-}
-BENCHMARK(BM_ScoreBatch)
-    ->ArgsProduct({{1, 2, 4}, {16, 64}})
-    ->ArgNames({"threads", "batch"});
-
-// Full batched online step: speculative parallel scoring + ordered commit
-// + threshold-gated ingest. Threaded rows verify score equivalence against
-// the sequential ProcessArrival loop on a slice before timing and fail the
-// benchmark if the paths ever disagree.
-void BM_ProcessArrivalBatch(benchmark::State& state) {
-  TimeSplit split = SplitByTimestamps(SharedGraph(), 0.6, 0.1);
-  auto train = Subgraph(SharedGraph(), split.train);
-  AnoTOptions options;
-  options.detector.timespan_tolerance = 10;
-  options.num_threads = static_cast<size_t>(state.range(0));
-  const size_t batch_size = static_cast<size_t>(state.range(1));
-
-  if (options.num_threads > 1) {
-    const size_t slice = std::min<size_t>(256, split.test.size());
-    AnoTOptions serial_options = options;
-    serial_options.num_threads = 1;
-    AnoT serial = AnoT::Build(*train, serial_options);
-    AnoT parallel = AnoT::Build(*train, options);
-    std::vector<Fact> facts;
-    for (size_t i = 0; i < slice; ++i) {
-      facts.push_back(SharedGraph().fact(split.test[i]));
-    }
-    std::vector<Scores> sequential_scores;
-    for (const Fact& f : facts) {
-      sequential_scores.push_back(serial.ProcessArrival(f));
-    }
-    const std::vector<Scores> batched_scores =
-        parallel.ProcessArrivalBatch(facts);
-    for (size_t i = 0; i < slice; ++i) {
-      if (sequential_scores[i].static_score !=
-              batched_scores[i].static_score ||
-          sequential_scores[i].temporal_score !=
-              batched_scores[i].temporal_score) {
-        state.SkipWithError(
-            "sequential and batched arrival paths disagree; timings are "
-            "meaningless");
-        return;
-      }
-    }
-  }
-
-  AnoT system = AnoT::Build(*train, options);
-  std::vector<Fact> batch(batch_size);
-  size_t next = 0;
-  for (auto _ : state) {
-    for (size_t i = 0; i < batch_size; ++i) {
-      batch[i] = SharedGraph().fact(split.test[next++ % split.test.size()]);
-    }
-    std::vector<Scores> scores = system.ProcessArrivalBatch(batch);
-    benchmark::DoNotOptimize(scores.data());
-  }
-  state.SetItemsProcessed(state.iterations() * batch_size);
-}
-BENCHMARK(BM_ProcessArrivalBatch)
-    ->ArgsProduct({{1, 4}, {64}})
-    ->ArgNames({"threads", "batch"});
+BENCHMARK(BM_DurationFourViewBuild)
+    ->Arg(1)
+    ->Arg(4)
+    ->ArgName("threads")
+    ->UseRealTime();
 
 // Full-state checkpoint write + read-back of the shared detector. Before
 // any timing, the restored detector must score a probe slice identically
-// to the original (the BM_ProcessArrivalBatch equivalence-gate pattern):
+// to the original (the equivalence-gate pattern of the build rows):
 // a fast but wrong serializer must fail the benchmark, not win it.
 void BM_CheckpointSaveLoad(benchmark::State& state) {
   const bool load = state.range(0) != 0;
@@ -430,7 +351,8 @@ BENCHMARK(BM_RefreshStall)
     ->Arg(1)
     ->ArgName("async")
     ->Unit(benchmark::kMillisecond)
-    ->Iterations(3);
+    ->Iterations(3)
+    ->UseRealTime();
 
 void BM_UpdaterIngest(benchmark::State& state) {
   TimeSplit split = SplitByTimestamps(SharedGraph(), 0.6, 0.1);

@@ -33,7 +33,7 @@
 
 namespace anot::bench {
 
-/// Worker count for the offline build and the batched serving pool:
+/// Worker count for the offline build, refresh and experiment sweeps:
 /// ANOT_THREADS when set (0 = auto), else one worker per hardware
 /// thread. Unparseable, negative, or absurd values
 /// (strtoul wraps "-1" to ULONG_MAX) fall back to auto instead of asking
@@ -100,11 +100,10 @@ inline void PrintHeader(const char* what) {
 }
 
 /// AnoT options for a *sweep cell*: when the sweep pool itself is
-/// parallel, each cell builds and serves with one inner thread — the
-/// cells are the parallelism, and N sweep workers each spawning N build
-/// workers would oversubscribe the machine. Harmless to results either
-/// way: builds and batched scoring are bit-identical for every thread
-/// count.
+/// parallel, each cell builds with one inner thread — the cells are the
+/// parallelism, and N sweep workers each spawning N build workers would
+/// oversubscribe the machine. Harmless to results either way: builds are
+/// bit-identical for every thread count.
 inline AnoTOptions SweepCellAnoTOptions(const std::string& dataset) {
   AnoTOptions options = DefaultAnoTOptions(dataset);
   if (ResolveNumThreads(EnvThreads()) > 1) options.num_threads = 1;

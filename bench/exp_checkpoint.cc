@@ -1,8 +1,8 @@
 // Checkpoint / warm-restart harness: measures checkpoint size and
 // save/load wall time per dataset preset, after *verifying* the restart
 // contract — a detector saved mid-stream and reloaded must score a probe
-// slice bit-identically to the original (the same equivalence gate
-// BM_ProcessArrivalBatch uses: if the paths disagree, timings are
+// slice bit-identically to the original (the same equivalence gate the
+// bench_micro build rows use: if the paths disagree, timings are
 // meaningless and the harness aborts loudly).
 
 #include <cstdint>

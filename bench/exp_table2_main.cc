@@ -45,9 +45,8 @@ int main() {
     std::fprintf(
         stderr,
         "%s AnoT test-window throughput: %.0f samples/s "
-        "(micro-batch %zu, %.2fs wall incl. observe-valid ingest)\n",
-        r.dataset.c_str(), r.throughput, r.score_batch_size,
-        r.test_seconds);
+        "(%.2fs wall incl. observe-valid ingest)\n",
+        r.dataset.c_str(), r.throughput, r.test_seconds);
   }
   std::printf("\n%s", Reporter::RenderComparison(results).c_str());
 

@@ -114,11 +114,8 @@ AnoT::BuiltStructures AnoT::BuildStructures(
 }
 
 void AnoT::Rebuild() {
-  // Reuse the serving pool when batched serving already created one (it
-  // sits idle during an inline rebuild, and reusing it spares the serving
-  // thread a spawn/join cycle per Refresh).
   BuiltStructures built =
-      BuildStructures(*graph_, *options_, serving_pool_.get(),
+      BuildStructures(*graph_, *options_, /*workers=*/nullptr,
                       /*cancel=*/nullptr);
   categories_ = std::move(built.categories);
   rules_ = std::move(built.rules);
@@ -162,40 +159,8 @@ UpdateEffects AnoT::IngestValid(const Fact& fact) {
   return effects;
 }
 
-ThreadPool* AnoT::ServingPool() const {
-  const size_t threads = ResolveNumThreads(options_->num_threads);
-  if (threads <= 1) return nullptr;
-  if (serving_pool_ == nullptr) {
-    serving_pool_ = std::make_unique<ThreadPool>(threads);
-  }
-  return serving_pool_.get();
-}
-
-void AnoT::ScoreRangeInto(const std::vector<Fact>& facts, size_t begin,
-                          size_t end, std::vector<Scores>* out) const {
-  const size_t n = end - begin;
-  if (n == 0) return;
-  ThreadPool* pool = n >= 2 ? ServingPool() : nullptr;
-  // Each slot is written independently, so any partition yields the same
-  // result; a few shards per worker smooth out fact-cost skew.
-  const size_t num_shards =
-      pool == nullptr ? 1 : std::min(n, 4 * pool->num_threads());
-  ParallelForShards(pool, n, num_shards,
-                    [&](size_t /*shard*/, size_t b, size_t e) {
-    for (size_t i = b; i < e; ++i) {
-      (*out)[begin + i] = scorer_->Score(facts[begin + i]);
-    }
-  });
-}
-
-std::vector<Scores> AnoT::ScoreBatch(const std::vector<Fact>& facts) const {
-  std::vector<Scores> out(facts.size());
-  ScoreRangeInto(facts, 0, facts.size(), &out);
-  return out;
-}
-
-bool AnoT::CommitArrival(const Fact& fact, const Scores& scores,
-                         UpdateEffects* effects) {
+Scores AnoT::ProcessArrival(const Fact& fact, UpdateEffects* effects) {
+  const Scores scores = scorer_->Score(fact);
   const bool mapped = scores.static_support > 0.0;
   monitor_->Observe(fact.time, mapped, scores.associated);
   if (async_ != nullptr) {
@@ -205,65 +170,22 @@ bool AnoT::CommitArrival(const Fact& fact, const Scores& scores,
   const bool valid = scores.static_score <= static_threshold_ &&
                      (!scores.temporal_evaluated ||
                       scores.temporal_score <= temporal_threshold_);
-  bool mutated = false;
   if (valid && options_->enable_updater) {
     const UpdateEffects e = updater_->Ingest(fact);
     if (effects != nullptr) effects->Accumulate(e);
     if (async_ != nullptr) refresh_replay_facts_.push_back(fact);
-    mutated = true;
   }
   if (options_->auto_refresh && monitor_->ShouldRefresh()) {
+    // Requests coalesce while one background build is in flight.
     if (options_->refresh_mode == RefreshMode::kAsynchronous) {
-      // Launching the snapshot/build does not mutate scoring state, so
-      // speculative scores stay valid; requests coalesce while one build
-      // is in flight.
       RefreshAsync();
     } else {
       Refresh();
-      mutated = true;
     }
   }
-  // Swap in a staged background build at this commit boundary; the swap
-  // mutates scoring state, so the batch loop re-scores everything after.
-  if (MaybeCompleteRefresh()) mutated = true;
-  return mutated;
-}
-
-Scores AnoT::ProcessArrival(const Fact& fact, UpdateEffects* effects) {
-  const Scores scores = scorer_->Score(fact);
-  CommitArrival(fact, scores, effects);
+  // Swap in a staged background build at this commit boundary.
+  MaybeCompleteRefresh();
   return scores;
-}
-
-std::vector<Scores> AnoT::ProcessArrivalBatch(const std::vector<Fact>& batch,
-                                              UpdateEffects* effects) {
-  std::vector<Scores> out(batch.size());
-  ThreadPool* pool = ServingPool();
-  // Speculation window: how far ahead of the commit frontier to score.
-  // A commit that mutates state throws the not-yet-committed speculative
-  // scores away, so the window bounds the wasted work per mutation while
-  // still keeping every worker busy on mutation-free stretches. Without a
-  // pool there is nothing to overlap — score exactly at the frontier,
-  // which degenerates to the sequential loop with zero wasted work.
-  const size_t window =
-      pool == nullptr ? 1 : std::max<size_t>(8, 4 * pool->num_threads());
-  size_t next = 0;
-  while (next < batch.size()) {
-    const size_t end = std::min(batch.size(), next + window);
-    // Speculative parallel scoring against the state frozen at the commit
-    // frontier — exactly the state the sequential loop would score with.
-    ScoreRangeInto(batch, next, end, &out);
-    // Ordered commit; stop at the first state mutation, after which the
-    // remaining speculative scores are stale.
-    size_t i = next;
-    bool mutated = false;
-    while (i < end && !mutated) {
-      mutated = CommitArrival(batch[i], out[i], effects);
-      ++i;
-    }
-    next = i;
-  }
-  return out;
 }
 
 void AnoT::Refresh() {
@@ -310,13 +232,10 @@ bool AnoT::FinishRefresh() {
   return true;
 }
 
-bool AnoT::MaybeCompleteRefresh() {
-  if (async_ == nullptr ||
-      !async_->ready.load(std::memory_order_acquire)) {
-    return false;
+void AnoT::MaybeCompleteRefresh() {
+  if (async_ != nullptr && async_->ready.load(std::memory_order_acquire)) {
+    CompleteRefresh();
   }
-  CompleteRefresh();
-  return true;
 }
 
 void AnoT::CompleteRefresh() {

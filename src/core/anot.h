@@ -50,10 +50,10 @@ struct AnoTOptions {
   bool auto_refresh = false;
   /// Execution mode of monitor-triggered refreshes.
   RefreshMode refresh_mode = RefreshMode::kSynchronous;
-  /// Worker threads for the offline construction pipeline (candidate
-  /// generation, candidate costing, duration views) *and* the batched
-  /// online serving path (ScoreBatch / ProcessArrivalBatch). 0 = one
-  /// worker per hardware thread. Built models and batched scores are
+  /// Worker threads for the offline construction pipeline (category
+  /// function, candidate generation, candidate costing, duration views),
+  /// used again by every refresh. Serving is one arrival at a time on the
+  /// calling thread. 0 = one worker per hardware thread. Built models are
   /// bit-identical for every value.
   size_t num_threads = 0;
 };
@@ -85,31 +85,13 @@ class AnoT {
   Scores Score(const Fact& fact) const;
   Scores ScoreWithEvidence(const Fact& fact, Evidence* evidence) const;
 
-  /// Batched detector: scores `facts` concurrently on the serving pool
-  /// (scoring is const over graph/categories/rules) and commits results
-  /// in arrival order. Bit-identical to calling Score per fact, for any
-  /// AnoTOptions::num_threads. Not safe to call concurrently with itself
-  /// or with any mutating member.
-  std::vector<Scores> ScoreBatch(const std::vector<Fact>& facts) const;
-
-  /// Full online step: scores, feeds the monitor, and — when the scores
-  /// clear the validity thresholds and the updater is enabled — ingests
-  /// the knowledge (Algorithm 3). Returns the scores. When `effects` is
-  /// non-null, the ingest's counters are *accumulated* into it.
+  /// Full online step (Algorithms 2-3): scores, feeds the monitor, and —
+  /// when the scores clear the validity thresholds and the updater is
+  /// enabled — ingests the knowledge. Then runs the auto-refresh check and
+  /// swaps in a staged background build. Returns the scores. When
+  /// `effects` is non-null, the ingest's counters are *accumulated* into
+  /// it.
   Scores ProcessArrival(const Fact& fact, UpdateEffects* effects = nullptr);
-
-  /// Micro-batched online step: speculatively scores a window of arrivals
-  /// in parallel against the current (frozen) rule graph, then commits
-  /// them one by one in arrival order, applying the serial monitor /
-  /// threshold / updater / auto-refresh logic per fact. The moment a
-  /// commit mutates scoring state (an ingest or a refresh), the remaining
-  /// speculative scores are discarded and re-scored against the new state,
-  /// so every returned score — and every UpdateEffects counter, refresh
-  /// point, and rule-graph mutation — is bit-identical to the sequential
-  /// ProcessArrival loop at any num_threads and any batch size. When
-  /// `effects` is non-null, all ingest counters are accumulated into it.
-  std::vector<Scores> ProcessArrivalBatch(const std::vector<Fact>& batch,
-                                          UpdateEffects* effects = nullptr);
 
   /// Validity thresholds used by ProcessArrival (tuned on validation in
   /// the experiment protocol). Facts with static_score <= static_threshold
@@ -131,8 +113,7 @@ class AnoT {
   // function + rule graph on a background thread while the current scorer
   // keeps serving. Facts ingested after the snapshot are logged; monitor
   // observations after the snapshot are logged too. Once the build is
-  // ready, the next ProcessArrival/ProcessArrivalBatch commit boundary
-  // (or FinishRefresh) performs the swap:
+  // ready, the next ProcessArrival (or FinishRefresh) performs the swap:
   //
   //   1. adopt the rebuilt structures (built from the snapshot),
   //   2. replay the logged ingests through a fresh Updater, and
@@ -143,10 +124,7 @@ class AnoT {
   // scorer state and refresh_count are bit-identical to calling the
   // synchronous Refresh() at the snapshot point followed by IngestValid
   // of the same logged facts; the post-swap monitor equals a monitor
-  // reset to the new budget that then observed the logged window. Inside
-  // a batch the swap counts as a state mutation, so speculative scores
-  // computed before it are discarded and re-scored — batched serving
-  // stays bit-identical to the sequential loop.
+  // reset to the new budget that then observed the logged window.
 
   /// Starts a background rebuild; returns immediately. No-op when one is
   /// already in flight or staged (requests coalesce).
@@ -185,8 +163,8 @@ class AnoT {
 
   /// Debug validator (compiled behind ANOT_VALIDATE, no-op otherwise):
   /// runs CheckInvariants() on the grown TKG, the rule graph, the monitor
-  /// and the updater. Call at commit boundaries (between arrivals/batches,
-  /// after Refresh/FinishRefresh), never concurrently with mutation.
+  /// and the updater. Call between arrivals or after
+  /// Refresh/FinishRefresh, never concurrently with mutation.
   void CheckInvariants() const;
 
   // -- Checkpoint / warm restart (io/checkpoint.h) --------------------------
@@ -237,30 +215,13 @@ class AnoT {
   /// Fresh monitor adopting report_'s budget and graph_'s universe sizes.
   void ResetMonitorFromReport();
 
-  /// Swaps in the staged background build if one is ready. Returns true
-  /// when the swap happened (a scoring-state mutation).
-  bool MaybeCompleteRefresh();
+  /// Swaps in the staged background build if one is ready.
+  void MaybeCompleteRefresh();
   /// Adopt staged structures + replay ingest/observation logs (see the
   /// determinism contract above). Requires a ready staged build.
   void CompleteRefresh();
   /// Cancels and discards any in-flight background build and its logs.
   void AbandonRefresh();
-
-  /// Serial commit step shared by ProcessArrival and the batched path:
-  /// monitor observation, validity thresholds, updater ingest, optional
-  /// auto-refresh. Returns true when the commit mutated scoring state
-  /// (speculative scores computed before it are stale).
-  bool CommitArrival(const Fact& fact, const Scores& scores,
-                     UpdateEffects* effects);
-
-  /// Scores facts[begin, end) into (*out)[begin, end) on the serving pool.
-  void ScoreRangeInto(const std::vector<Fact>& facts, size_t begin,
-                      size_t end, std::vector<Scores>* out) const;
-
-  /// Lazily created worker pool for batched serving; nullptr while the
-  /// configured thread count resolves to 1. Mutable because scoring is
-  /// logically const — the pool is an execution resource, not state.
-  ThreadPool* ServingPool() const ANOT_LIFETIME_BOUND;
 
   /// Heap-allocated so its address survives moves of the AnoT object:
   /// Scorer and Updater capture a pointer to options_->detector, and
@@ -275,7 +236,6 @@ class AnoT {
   std::unique_ptr<Scorer> scorer_;
   std::unique_ptr<Updater> updater_;
   std::unique_ptr<Monitor> monitor_;
-  mutable std::unique_ptr<ThreadPool> serving_pool_;
 
   /// In-flight double-buffered rebuild (heap-held so the background
   /// thread's pointer survives moves of the AnoT object); nullptr when no

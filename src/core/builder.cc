@@ -120,6 +120,7 @@ RuleGraphBuilder::Output RuleGraphBuilder::Build(
       e.by_time = BuildDeltaHistogram(graph_, e.tail_facts);
     }
   });
+  workers.reset();
   if (cancelled()) return out;
 
   // ---- Negative-error ledger ----------------------------------------------
@@ -182,21 +183,7 @@ RuleGraphBuilder::Output RuleGraphBuilder::Build(
   // Each pass repeats sweeps until one admits nothing. A sweep walks
   // candidates in rank order and admits those whose total cost delta is
   // negative, evaluated against the state left by all earlier admissions.
-  //
-  // Speculative Δ-evaluation (the default): a sweep first computes every
-  // remaining candidate's delta in parallel against the sweep-start
-  // state — the cached by_time histograms make each evaluation a flat
-  // CSR walk — then admits serially in rank order. A precomputed delta
-  // is reused unless one of the candidate's timestamps reports a ledger
-  // epoch newer than the sweep snapshot, i.e. an earlier admission in
-  // this sweep applied counters there. Admissions touch eligibility
-  // (fact_mapped / fact_associated flips) only for facts whose timestamp
-  // they applied to, so an untouched footprint guarantees the
-  // speculative delta equals what the serial loop would compute at this
-  // point; a touched one is recomputed from live state. Both paths run
-  // the identical histogram walk and ascending-timestamp CostDelta sum,
-  // so speculative and serial selection are bit-identical at every
-  // thread count (pinned by core_test's selection-determinism goldens).
+  // The cached by_time histograms make each evaluation a flat CSR walk.
   std::vector<uint8_t> fact_mapped(graph_.num_facts(), 0);
   std::vector<uint8_t> fact_associated(graph_.num_facts(), 0);
   std::vector<uint8_t> rule_selected(pool.rules.size(), 0);
@@ -206,62 +193,18 @@ RuleGraphBuilder::Output RuleGraphBuilder::Build(
   double assertion_bits = 0.0;
 
   using LedgerDeltas = std::vector<NegativeErrorLedger::TimestampDelta>;
-  const bool speculate = options_.speculative_selection;
   auto run_greedy = [&](const std::vector<uint32_t>& order,
-                        std::vector<uint8_t>& selected,
-                        auto&& histogram_of,   // idx -> const DeltaHistogram&
+                        const std::vector<uint8_t>& selected,
                         auto&& compute_delta,  // (idx, buf, delta) -> viable
                         auto&& admit) {
-    std::vector<double> spec_delta;
-    std::vector<uint8_t> spec_viable;
     LedgerDeltas buf;
     bool changed = true;
     while (changed && !cancelled()) {
       changed = false;
-      const uint64_t sweep_epoch = ledger.epoch();
-      if (speculate) {
-        spec_delta.assign(order.size(), 0.0);
-        spec_viable.assign(order.size(), 0);
-        // Nothing mutates between here and the admission walk, so shards
-        // read the live ledger / eligibility flags as the snapshot; each
-        // shard writes only its own spec slots.
-        ParallelForShards(
-            workers.get(), order.size(),
-            DeterministicShardCount(order.size()),
-            [&](size_t /*shard*/, size_t begin, size_t end) {
-              LedgerDeltas shard_buf;
-              for (size_t i = begin; i < end; ++i) {
-                const uint32_t idx = order[i];
-                if (selected[idx]) continue;
-                double delta = 0.0;
-                if (compute_delta(idx, &shard_buf, &delta)) {
-                  spec_delta[i] = delta;
-                  spec_viable[i] = 1;
-                }
-              }
-            });
-      }
-      for (size_t i = 0; i < order.size(); ++i) {
-        const uint32_t idx = order[i];
+      for (const uint32_t idx : order) {
         if (selected[idx]) continue;
         double delta = 0.0;
-        bool viable = false;
-        bool recompute = !speculate;
-        if (speculate) {
-          for (Timestamp t : histogram_of(idx).times) {
-            if (ledger.epoch_at(t) > sweep_epoch) {
-              recompute = true;
-              break;
-            }
-          }
-        }
-        if (recompute) {
-          viable = compute_delta(idx, &buf, &delta);
-        } else {
-          viable = spec_viable[i] != 0;
-          delta = spec_delta[i];
-        }
-        if (!viable || delta >= 0.0) continue;
+        if (!compute_delta(idx, &buf, &delta) || delta >= 0.0) continue;
         // Admit (Algorithm 1 lines 10-11).
         admit(idx);
         changed = true;
@@ -273,7 +216,7 @@ RuleGraphBuilder::Output RuleGraphBuilder::Build(
   // collect lambda that fills the timestamp-ordered delta list; pricing
   // previews it with CostDelta, admission applies it verbatim — so the
   // previewed and applied counters cannot drift apart.
-  LedgerDeltas admit_buf;  // admission is serial, one buffer suffices
+  LedgerDeltas admit_buf;
 
   // ---- Rules pass -----------------------------------------------------------
   std::vector<uint32_t> rule_order;
@@ -293,9 +236,6 @@ RuleGraphBuilder::Output RuleGraphBuilder::Build(
   };
   run_greedy(
       rule_order, rule_selected,
-      [&](uint32_t idx) -> const DeltaHistogram& {
-        return pool.rules[idx].by_time;
-      },
       [&](uint32_t idx, LedgerDeltas* buf, double* delta) {
         if (!collect_rule(idx, buf)) return false;
         const RuleCandidate& c = pool.rules[idx];
@@ -338,9 +278,6 @@ RuleGraphBuilder::Output RuleGraphBuilder::Build(
   };
   run_greedy(
       edge_order, edge_selected,
-      [&](uint32_t idx) -> const DeltaHistogram& {
-        return pool.edges[idx].by_time;
-      },
       [&](uint32_t idx, LedgerDeltas* buf, double* delta) {
         if (!collect_edge(idx, buf)) return false;
         const EdgeCandidate& e = pool.edges[idx];
@@ -363,7 +300,6 @@ RuleGraphBuilder::Output RuleGraphBuilder::Build(
         }
       });
 
-  workers.reset();
   if (cancelled()) return out;
 
   // ---- Materialize the rule graph ------------------------------------------
@@ -435,9 +371,9 @@ RuleGraphBuilder::Output RuleGraphBuilder::Build(
   report.assertion_bits = assertion_bits;
   report.negative_bits = ledger.total_cost();
   report.build_seconds = timer.ElapsedSeconds();
-  // End-of-selection commit boundary: with ANOT_VALIDATE these catch a
-  // speculative Δ-admission that desynced the ledger, or a materialization
-  // bug, right here instead of ten goldens later (no-ops otherwise).
+  // End-of-selection commit boundary: with ANOT_VALIDATE these catch an
+  // admission that desynced the ledger, or a materialization bug, right
+  // here instead of ten goldens later (no-ops otherwise).
   ledger.CheckInvariants();
   rg.CheckInvariants();
   return out;

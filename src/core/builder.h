@@ -44,12 +44,10 @@ struct BuildReport {
 /// by edges are added as temporal-only nodes (§4.3.3).
 class RuleGraphBuilder {
  public:
-  /// `num_threads` parallelizes candidate generation, per-candidate cost
-  /// computation, and — unless DetectorOptions::speculative_selection is
-  /// off — the per-sweep Δ-evaluation of the greedy selection passes
-  /// (admission itself stays serial in rank order). 0 = hardware
-  /// concurrency. Output is bit-identical for every thread count and for
-  /// both selection strategies.
+  /// `num_threads` parallelizes candidate generation and per-candidate
+  /// cost computation; the greedy selection passes run serially in rank
+  /// order. 0 = hardware concurrency. Output is bit-identical for every
+  /// thread count.
   RuleGraphBuilder(const TemporalKnowledgeGraph& graph,
                    const CategoryFunction& categories,
                    const DetectorOptions& options, size_t num_threads = 1);

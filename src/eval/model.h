@@ -1,7 +1,6 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "tkg/graph.h"
 
@@ -31,19 +30,6 @@ class AnomalyModel {
 
   /// Scores one arriving (or candidate) piece of knowledge.
   virtual TaskScores Score(const Fact& fact) = 0;
-
-  /// Scores a micro-batch of arrivals, committing results in arrival
-  /// order. The protocol guarantees no ObserveValid lands between the
-  /// facts of one batch, so models whose Score is const over model state
-  /// (AnoT) may score the window concurrently; the default just loops —
-  /// baselines whose Score mutates state keep their sequential semantics.
-  /// Either way the returned scores are identical to per-fact Score calls.
-  virtual std::vector<TaskScores> ScoreBatch(const std::vector<Fact>& facts) {
-    std::vector<TaskScores> out;
-    out.reserve(facts.size());
-    for (const Fact& f : facts) out.push_back(Score(f));
-    return out;
-  }
 
   /// Online hook: knowledge accepted as valid. Models that cannot adapt
   /// online (the fixed-vector embedding baselines) ignore it.

@@ -219,7 +219,6 @@ struct Checkpoint::Codec {
     w->Bool(d.use_category_aggregation);
     w->Bool(d.unit_rule_weight);
     w->U8(static_cast<uint8_t>(d.ranking));
-    w->Bool(d.speculative_selection);
     w->Bool(d.use_out_edge_violations);
     w->U8(static_cast<uint8_t>(d.theta_mode));
     w->F64(d.temporal_base_weight);
@@ -274,7 +273,6 @@ struct Checkpoint::Codec {
     uint8_t b = 0;
     ANOT_CKPT_READ(in->U8(&b) && b <= 1, "ranking mode");
     d.ranking = static_cast<RankingMode>(b);
-    ANOT_CKPT_READ(in->Bool(&d.speculative_selection), "options");
     ANOT_CKPT_READ(in->Bool(&d.use_out_edge_violations), "options");
     ANOT_CKPT_READ(in->U8(&b) && b <= 1, "theta mode");
     d.theta_mode = static_cast<ThetaMode>(b);

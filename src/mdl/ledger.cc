@@ -30,7 +30,6 @@ void NegativeErrorLedger::SetTimestampTotal(Timestamp t, uint32_t total) {
   c.mapped = std::min(c.mapped, total);
   c.associated = std::min(c.associated, c.mapped);
   c.cost = CostAt(c.total, c.mapped, c.associated);
-  c.epoch = ++epoch_;
   total_cost_ += c.cost;
 }
 
@@ -48,7 +47,6 @@ void NegativeErrorLedger::Apply(Timestamp t, int32_t delta_mapped,
   c.mapped = static_cast<uint32_t>(mapped);
   c.associated = static_cast<uint32_t>(assoc);
   c.cost = CostAt(c.total, c.mapped, c.associated);
-  c.epoch = ++epoch_;
   total_cost_ += c.cost;
 }
 
@@ -66,34 +64,14 @@ double NegativeErrorLedger::PreviewOne(const Counters& c,
 }
 
 double NegativeErrorLedger::CostDelta(
-    const std::unordered_map<Timestamp, Delta>& deltas) const {
+    const std::vector<TimestampDelta>& deltas) const {
   double delta_cost = 0.0;
-  // anot-lint: ordered-ok documented contract (see header): this overload
-  // sums in hash order, which is deterministic only per identically-built
-  // map; callers needing cross-construction bit-identity use the ordered
-  // TimestampDelta overload below
-  for (const auto& [t, d] : deltas) {
-    auto it = per_timestamp_.find(t);
-    if (it == per_timestamp_.end()) continue;
-    delta_cost += PreviewOne(it->second, d);
-  }
-  return delta_cost;
-}
-
-double NegativeErrorLedger::CostDelta(
-    const std::vector<TimestampDelta>& ordered_deltas) const {
-  double delta_cost = 0.0;
-  for (const TimestampDelta& td : ordered_deltas) {
+  for (const TimestampDelta& td : deltas) {
     auto it = per_timestamp_.find(td.t);
     if (it == per_timestamp_.end()) continue;
     delta_cost += PreviewOne(it->second, td.d);
   }
   return delta_cost;
-}
-
-uint64_t NegativeErrorLedger::epoch_at(Timestamp t) const {
-  auto it = per_timestamp_.find(t);
-  return it == per_timestamp_.end() ? 0 : it->second.epoch;
 }
 
 uint32_t NegativeErrorLedger::mapped_at(Timestamp t) const {
@@ -129,9 +107,6 @@ void NegativeErrorLedger::CheckInvariants() const {
     // reprice.
     ANOT_CHECK(c.cost == CostAt(c.total, c.mapped, c.associated))
         << "timestamp " << t << ": cached cost stale";
-    ANOT_CHECK(c.epoch <= epoch_)
-        << "timestamp " << t << ": epoch " << c.epoch
-        << " ahead of ledger epoch " << epoch_;
     sum += c.cost;
   }
   // total_cost_ is maintained incrementally (+= new - old per mutation),

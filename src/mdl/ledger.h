@@ -1,6 +1,5 @@
 #pragma once
 
-#include <unordered_map>
 #include <vector>
 
 #include "tkg/types.h"
@@ -30,8 +29,10 @@ class NegativeErrorLedger {
   /// Applies permanent deltas to the mapped/associated counters of `t`.
   void Apply(Timestamp t, int32_t delta_mapped, int32_t delta_associated);
 
-  /// Cost change if `deltas` (t -> {delta_mapped, delta_associated}) were
-  /// applied, without mutating state. Negative = cost reduction. Previews
+  /// Cost change if `deltas` (each {t, {delta_mapped, delta_associated}})
+  /// were applied, without mutating state. Negative = cost reduction.
+  /// Accumulation follows the list order, so a caller that presents
+  /// timestamps in ascending order gets a deterministic sum. Previews
   /// enforce the same counter-range invariants as Apply (a preview that
   /// would crash on apply is a programmer error and fails fast here too);
   /// deltas on unregistered timestamps contribute zero — there are no
@@ -40,29 +41,11 @@ class NegativeErrorLedger {
     int32_t mapped = 0;
     int32_t associated = 0;
   };
-  double CostDelta(
-      const std::unordered_map<Timestamp, Delta>& deltas) const;
-
-  /// Batch-preview overload over a pre-grouped delta list. Accumulation
-  /// follows the list order, so a caller that always presents timestamps
-  /// in ascending order gets bit-identical sums regardless of how the
-  /// list was produced — the ordering contract the builder's speculative
-  /// Δ-evaluation relies on (the unordered_map overload sums in hash
-  /// order, which is deterministic only per identically-built map).
   struct TimestampDelta {
     Timestamp t = 0;
     Delta d;
   };
-  double CostDelta(const std::vector<TimestampDelta>& ordered_deltas) const;
-
-  /// Monotone mutation counter, incremented by every Apply (and by
-  /// SetTimestampTotal). A speculative sweep snapshots it, evaluates
-  /// candidate deltas against the frozen state, and later recomputes only
-  /// the candidates whose timestamps report a newer epoch — i.e. were
-  /// dirtied by an admission after the snapshot.
-  uint64_t epoch() const { return epoch_; }
-  /// Epoch stamped by the last mutation touching `t` (0 = never touched).
-  uint64_t epoch_at(Timestamp t) const;
+  double CostDelta(const std::vector<TimestampDelta>& deltas) const;
 
   double total_cost() const { return total_cost_; }
   uint32_t mapped_at(Timestamp t) const;
@@ -77,9 +60,8 @@ class NegativeErrorLedger {
 
   /// Debug validator (compiled behind ANOT_VALIDATE, no-op otherwise):
   /// per-timestamp counter ranges (associated <= mapped <= total), cached
-  /// cost bit-identical to a CostAt recompute, per-timestamp epochs <= the
-  /// ledger epoch, and total_cost_ equal to the per-timestamp sum within
-  /// float tolerance. ANOT_CHECK-fails on the first violation.
+  /// cost bit-identical to a CostAt recompute, and total_cost_ equal to the
+  /// per-timestamp sum within float tolerance. ANOT_CHECK-fails on the first violation.
   void CheckInvariants() const;
 
 #ifdef ANOT_VALIDATE
@@ -97,7 +79,6 @@ class NegativeErrorLedger {
     uint32_t mapped = 0;
     uint32_t associated = 0;
     double cost = 0.0;
-    uint64_t epoch = 0;  // ledger epoch of the last mutation
   };
 
   /// Previewed cost change of one timestamp; CHECKs the same range
@@ -107,11 +88,9 @@ class NegativeErrorLedger {
   double tier1_universe_;
   double tier2_universe_;
   double total_cost_ = 0.0;
-  uint64_t epoch_ = 0;
   // dense_map: the greedy builder probes a timestamp's counters once per
   // candidate delta, and CostDelta previews touch a handful of timestamps
-  // per call. (The unordered_map in the CostDelta overload above is the
-  // caller's container, part of the public API — unrelated to storage.)
+  // per call.
   dense_map<Timestamp, Counters> per_timestamp_;
 };
 

@@ -5,7 +5,7 @@
 /// wrappers for every shared-state path in the repo.
 ///
 /// The locking and ownership contracts that keep the parallel paths
-/// (ThreadPool, batched serving, async refresh, sweeps) race-free used to
+/// (ThreadPool, offline build, async refresh, sweeps) race-free used to
 /// live only in comments. This header turns them into compiler-checked
 /// facts: under Clang with `-Wthread-safety` (the `ANOT_THREAD_SAFETY`
 /// CMake option builds with `-Werror=thread-safety`), reading a

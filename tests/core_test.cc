@@ -9,7 +9,6 @@
 #include "core/candidates.h"
 #include "core/duration.h"
 #include "datagen/generator.h"
-#include "serving_test_util.h"
 #include "tkg/split.h"
 
 namespace anot {
@@ -280,38 +279,6 @@ TEST_F(CoreFixture, RefreshMidStreamIdenticalAcrossThreadCounts) {
             parallel->categories().num_categories());
   ExpectRuleGraphsIdentical(serial->rules(), parallel->rules());
   EXPECT_EQ(serial->report().negative_bits, parallel->report().negative_bits);
-}
-
-TEST_F(CoreFixture, SpeculativeSelectionMatchesSerialLoop) {
-  // Speculative Δ-evaluation (parallel per-sweep candidate deltas, serial
-  // rank-order admission with dirty-timestamp recomputation) must select
-  // exactly what the reference serial loop selects — byte-identical rule
-  // graph, identical report bits — at every thread count. The thread
-  // sweep follows the ANOT_THREADS CI convention, so both the serial and
-  // the contended schedule exercise these goldens.
-  for (size_t threads : ThreadCountsUnderTest({1, 4})) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    AnoTOptions serial_options;
-    serial_options.detector = TestDetectorOptions();
-    serial_options.detector.speculative_selection = false;
-    serial_options.num_threads = threads;
-    AnoT serial = AnoT::Build(*train_, serial_options);
-
-    AnoTOptions speculative_options = serial_options;
-    speculative_options.detector.speculative_selection = true;
-    AnoT speculative = AnoT::Build(*train_, speculative_options);
-
-    ExpectRuleGraphsIdentical(serial.rules(), speculative.rules());
-    EXPECT_EQ(serial.report().model_bits, speculative.report().model_bits);
-    EXPECT_EQ(serial.report().assertion_bits,
-              speculative.report().assertion_bits);
-    EXPECT_EQ(serial.report().negative_bits,
-              speculative.report().negative_bits);
-    EXPECT_EQ(serial.report().explained_fraction,
-              speculative.report().explained_fraction);
-    EXPECT_EQ(serial.report().associated_fraction,
-              speculative.report().associated_fraction);
-  }
 }
 
 // ---------------------------------------------------------------- Scoring

@@ -106,11 +106,11 @@ TEST(ReporterTest, ComparisonGroupsByDataset) {
   EXPECT_NE(out.find("0.950"), std::string::npos);
 }
 
-// ------------------------------------------- micro-batching invariance
+// ------------------------------------------------- stream call ordering
 
 /// Records the model-visible call sequence — Score and ObserveValid, in
-/// order — plus every ScoreBatch window size. Scores are a deterministic
-/// function of the fact, so threshold tuning has something to rank.
+/// order. Scores are a deterministic function of the fact, so threshold
+/// tuning has something to rank.
 class ProbeModel : public AnomalyModel {
  public:
   std::string name() const override { return "probe"; }
@@ -126,12 +126,6 @@ class ProbeModel : public AnomalyModel {
     return TaskScores{x, 1.0 - x, x};
   }
 
-  std::vector<TaskScores> ScoreBatch(
-      const std::vector<Fact>& facts) override {
-    batch_sizes.push_back(facts.size());
-    return AnomalyModel::ScoreBatch(facts);
-  }
-
   void ObserveValid(const Fact& fact) override {
     sequence.push_back("V:" + Key(fact));
   }
@@ -142,7 +136,6 @@ class ProbeModel : public AnomalyModel {
   }
 
   std::vector<std::string> sequence;
-  std::vector<size_t> batch_sizes;
 };
 
 GeneratorConfig SmallProtocolWorld() {
@@ -157,74 +150,26 @@ GeneratorConfig SmallProtocolWorld() {
   return cfg;
 }
 
-TEST(ProtocolTest, ObserveValidOrderingPreservedAcrossBatchBoundaries) {
+TEST(ProtocolTest, ObserveValidFollowsItsOwnScore) {
   SyntheticGenerator gen(SmallProtocolWorld());
   auto graph = gen.Generate();
   TimeSplit split = SplitByTimestamps(*graph, 0.6, 0.1);
 
-  auto run = [&](size_t batch_size) {
-    ProbeModel model;
-    ProtocolOptions popts;
-    popts.score_batch_size = batch_size;
-    RunProtocol(*graph, split, &model, popts);
-    return model;
-  };
-  const ProbeModel sequential = run(1);
-  const ProbeModel batched = run(64);
+  ProbeModel model;
+  RunProtocol(*graph, split, &model, ProtocolOptions{});
 
-  // The model-visible call sequence — every Score, every ObserveValid, in
-  // order — is invariant: the batch boundary sits exactly at each ingest.
-  ASSERT_FALSE(sequential.sequence.empty());
-  EXPECT_EQ(sequential.sequence, batched.sequence);
-  // And batching genuinely engaged: multi-fact windows within the cap.
-  size_t max_batch = 0;
-  for (size_t b : batched.batch_sizes) max_batch = std::max(max_batch, b);
-  EXPECT_GT(max_batch, 1u);
-  EXPECT_LE(max_batch, 64u);
-  for (size_t b : sequential.batch_sizes) EXPECT_EQ(b, 1u);
-}
-
-TEST(ProtocolTest, MetricsIdenticalWithMicroBatchingOnAndOff) {
-  SyntheticGenerator gen(SmallProtocolWorld());
-  auto graph = gen.Generate();
-  TimeSplit split = SplitByTimestamps(*graph, 0.6, 0.1);
-
-  AnoTOptions options;
-  options.detector.category.min_support = 4;
-  options.detector.timespan_tolerance = 5;
-
-  auto run = [&](size_t batch_size, size_t threads) {
-    AnoTOptions o = options;
-    o.num_threads = threads;
-    AnoTModel model(o);
-    ProtocolOptions popts;
-    popts.score_batch_size = batch_size;
-    return RunProtocol(*graph, split, &model, popts);
-  };
-  const EvalResult off = run(1, 1);
-  EXPECT_EQ(off.score_batch_size, 1u);
-
-  for (size_t threads : {size_t{1}, size_t{4}}) {
-    const EvalResult on = run(64, threads);
-    EXPECT_EQ(on.score_batch_size, 64u);
-    // Bitwise equality: micro-batching must not change a single metric.
-    EXPECT_EQ(off.conceptual.pr_auc, on.conceptual.pr_auc) << threads;
-    EXPECT_EQ(off.conceptual.precision, on.conceptual.precision) << threads;
-    EXPECT_EQ(off.conceptual.f_beta, on.conceptual.f_beta) << threads;
-    EXPECT_EQ(off.time.pr_auc, on.time.pr_auc) << threads;
-    EXPECT_EQ(off.time.precision, on.time.precision) << threads;
-    EXPECT_EQ(off.time.f_beta, on.time.f_beta) << threads;
-    EXPECT_EQ(off.missing.pr_auc, on.missing.pr_auc) << threads;
-    EXPECT_EQ(off.missing.precision, on.missing.precision) << threads;
-    EXPECT_EQ(off.missing.f_beta, on.missing.f_beta) << threads;
-    EXPECT_GT(on.throughput, 0.0);
-    EXPECT_GT(on.test_seconds, 0.0);
-    // Per-arrival latency tail is captured over the same window and is
-    // internally consistent: p50 <= p99 <= max.
-    EXPECT_GT(on.latency_p50_us, 0.0);
-    EXPECT_LE(on.latency_p50_us, on.latency_p99_us);
-    EXPECT_LE(on.latency_p99_us, on.latency_max_us);
+  // Every ingest lands right after the arrival's own score and before the
+  // next arrival is scored: each arrival sees all earlier ingests.
+  ASSERT_FALSE(model.sequence.empty());
+  size_t ingests = 0;
+  for (size_t i = 0; i < model.sequence.size(); ++i) {
+    const std::string& call = model.sequence[i];
+    if (call.rfind("V:", 0) != 0) continue;
+    ++ingests;
+    ASSERT_GT(i, 0u);
+    EXPECT_EQ(model.sequence[i - 1], "S:" + call.substr(2)) << i;
   }
+  EXPECT_GT(ingests, 0u) << "protocol never fed back: case is vacuous";
 }
 
 // ------------------------------------------------------ protocol + AnoT
@@ -260,6 +205,12 @@ TEST(ProtocolTest, AnoTEndToEndProducesSaneMetrics) {
   EXPECT_GT(result.time.pr_auc, 0.18);
   EXPECT_GT(result.throughput, 100.0);
   EXPECT_GT(result.fit_seconds, 0.0);
+  EXPECT_GT(result.test_seconds, 0.0);
+  // Per-arrival latency tail is captured over the same window and is
+  // internally consistent: p50 <= p99 <= max.
+  EXPECT_GT(result.latency_p50_us, 0.0);
+  EXPECT_LE(result.latency_p50_us, result.latency_p99_us);
+  EXPECT_LE(result.latency_p99_us, result.latency_max_us);
 }
 
 }  // namespace

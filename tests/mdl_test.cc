@@ -179,55 +179,14 @@ TEST(LedgerTest, CostDeltaMatchesApply) {
   ledger.SetTimestampTotal(2, 8);
   ledger.Apply(1, +2, 0);
 
-  std::unordered_map<Timestamp, NegativeErrorLedger::Delta> deltas;
-  deltas[1] = {+3, +1};
-  deltas[2] = {+4, 0};
+  const std::vector<NegativeErrorLedger::TimestampDelta> deltas{
+      {1, {+3, +1}}, {2, {+4, 0}}};
   const double predicted = ledger.CostDelta(deltas);
   const double before = ledger.total_cost();
   ledger.Apply(1, +3, +1);
   ledger.Apply(2, +4, 0);
   EXPECT_NEAR(ledger.total_cost() - before, predicted, 1e-9);
   EXPECT_LT(predicted, 0.0);
-}
-
-TEST(LedgerTest, SpanCostDeltaMatchesUnorderedOverloadAndApply) {
-  // The span overload (the builder's speculative path) must price a batch
-  // exactly like the unordered_map overload and like actually applying it.
-  NegativeErrorLedger ledger(1e8);
-  ledger.SetTimestampTotal(1, 10);
-  ledger.SetTimestampTotal(2, 8);
-  ledger.Apply(1, +2, 0);
-
-  std::vector<NegativeErrorLedger::TimestampDelta> span{{1, {+3, +1}},
-                                                        {2, {+4, 0}}};
-  std::unordered_map<Timestamp, NegativeErrorLedger::Delta> map;
-  for (const auto& td : span) map[td.t] = td.d;
-  const double predicted = ledger.CostDelta(span);
-  EXPECT_NEAR(ledger.CostDelta(map), predicted, 1e-9);
-
-  const double before = ledger.total_cost();
-  ledger.Apply(1, +3, +1);
-  ledger.Apply(2, +4, 0);
-  EXPECT_NEAR(ledger.total_cost() - before, predicted, 1e-9);
-}
-
-TEST(LedgerTest, EpochsTrackTimestampMutations) {
-  NegativeErrorLedger ledger(1e8);
-  EXPECT_EQ(ledger.epoch(), 0u);
-  EXPECT_EQ(ledger.epoch_at(7), 0u);
-  ledger.SetTimestampTotal(7, 4);
-  ledger.SetTimestampTotal(8, 4);
-  const uint64_t snapshot = ledger.epoch();
-  ledger.Apply(8, +1, 0);
-  EXPECT_GT(ledger.epoch(), snapshot);
-  EXPECT_GT(ledger.epoch_at(8), snapshot) << "applied timestamp is dirty";
-  EXPECT_LE(ledger.epoch_at(7), snapshot) << "untouched timestamp is clean";
-  // Previews never advance epochs.
-  const uint64_t after_apply = ledger.epoch();
-  std::vector<NegativeErrorLedger::TimestampDelta> preview{{7, {+1, 0}}};
-  (void)ledger.CostDelta(preview);
-  EXPECT_EQ(ledger.epoch(), after_apply);
-  EXPECT_EQ(ledger.epoch_at(7), 1u);
 }
 
 TEST(LedgerDeathTest, PreviewEnforcesApplyRangeChecks) {
@@ -239,8 +198,8 @@ TEST(LedgerDeathTest, PreviewEnforcesApplyRangeChecks) {
   NegativeErrorLedger ledger(1e8);
   ledger.SetTimestampTotal(1, 5);
   ledger.Apply(1, +2, 0);
-  std::unordered_map<Timestamp, NegativeErrorLedger::Delta> over_mapped;
-  over_mapped[1] = {+4, 0};  // 2 + 4 > total 5
+  std::vector<NegativeErrorLedger::TimestampDelta> over_mapped{
+      {1, {+4, 0}}};  // 2 + 4 > total 5
   EXPECT_DEATH((void)ledger.CostDelta(over_mapped), "previewed mapped");
   std::vector<NegativeErrorLedger::TimestampDelta> over_assoc{{1, {+1, +4}}};
   EXPECT_DEATH((void)ledger.CostDelta(over_assoc), "previewed associated");
@@ -249,8 +208,8 @@ TEST(LedgerDeathTest, PreviewEnforcesApplyRangeChecks) {
 TEST(LedgerTest, CostDeltaIgnoresUnknownTimestamps) {
   NegativeErrorLedger ledger(1e8);
   ledger.SetTimestampTotal(1, 5);
-  std::unordered_map<Timestamp, NegativeErrorLedger::Delta> deltas;
-  deltas[99] = {+3, 0};
+  const std::vector<NegativeErrorLedger::TimestampDelta> deltas{
+      {99, {+3, 0}}};
   EXPECT_DOUBLE_EQ(ledger.CostDelta(deltas), 0.0);
 }
 

@@ -1,17 +1,16 @@
-// Equivalence harness for the batched online serving path: pins
-// "parallel == sequential, bit for bit" as a tested property of
-// AnoT::ScoreBatch / AnoT::ProcessArrivalBatch. Every comparison is exact
-// (EXPECT_EQ on doubles): ordered commit plus speculative re-scoring must
-// reproduce the sequential loop's state machine, not approximate it.
+// Equivalence harness for the online serving loop: the ProcessArrival
+// sequence — scores, ingests, refresh points and the grown rule graph —
+// is bit-identical whatever AnoTOptions::num_threads the offline build and
+// every refresh run with. Every comparison is exact (EXPECT_EQ on
+// doubles).
 //
 // CI runs this suite under ANOT_THREADS=1 and ANOT_THREADS=4; the env
 // value is folded into the tested thread counts so the equivalence cases
-// always exercise both a serial and a contended schedule.
+// always exercise both a serial and a contended build schedule.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -73,32 +72,9 @@ RunOutcome RunSequential(const TemporalKnowledgeGraph& train,
   return out;
 }
 
-RunOutcome RunBatched(const TemporalKnowledgeGraph& train,
-                      const AnoTOptions& options,
-                      const std::vector<Fact>& stream, size_t batch_size) {
-  AnoT system = AnoT::Build(train, options);
-  RunOutcome out;
-  out.scores.reserve(stream.size());
-  std::vector<Fact> batch;
-  batch.reserve(batch_size);
-  for (size_t begin = 0; begin < stream.size(); begin += batch_size) {
-    const size_t end = std::min(stream.size(), begin + batch_size);
-    batch.assign(stream.begin() + begin, stream.begin() + end);
-    std::vector<Scores> scores =
-        system.ProcessArrivalBatch(batch, &out.effects);
-    out.scores.insert(out.scores.end(), scores.begin(), scores.end());
-  }
-  ValidateAtCommitBoundary(system);
-  out.refresh_count = system.refresh_count();
-  out.num_facts = system.graph().num_facts();
-  out.rules = system.rules().ToString();
-  return out;
-}
-
 void ExpectOutcomesIdentical(const RunOutcome& ref, const RunOutcome& got,
-                             size_t threads, size_t batch) {
-  SCOPED_TRACE("threads=" + std::to_string(threads) +
-               " batch=" + std::to_string(batch));
+                             size_t threads) {
+  SCOPED_TRACE("threads=" + std::to_string(threads));
   ASSERT_EQ(ref.scores.size(), got.scores.size());
   for (size_t i = 0; i < ref.scores.size(); ++i) {
     ExpectScoresIdentical(ref.scores[i], got.scores[i], i);
@@ -152,67 +128,51 @@ TimeSplit* OnlineFixture::split_ = nullptr;
 TemporalKnowledgeGraph* OnlineFixture::train_ = nullptr;
 std::vector<Fact>* OnlineFixture::stream_ = nullptr;
 
-// ------------------------------------------------------- const ScoreBatch
+// ------------------------------------------------------------ const Score
 
-TEST_F(OnlineFixture, ScoreBatchMatchesScalarScoreAndIsPure) {
+TEST_F(OnlineFixture, ScoreIsPureAndIndependentOfBuildThreads) {
+  const size_t count = std::min<size_t>(200, stream_->size());
+  const AnoT ref = AnoT::Build(*train_, OnlineOptions(1));
   for (size_t threads : ThreadCountsUnderTest()) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
-    AnoT system = AnoT::Build(*train_, OnlineOptions(threads));
-    const size_t count = std::min<size_t>(200, stream_->size());
-    std::vector<Fact> facts(stream_->begin(), stream_->begin() + count);
-    const std::vector<Scores> batched = system.ScoreBatch(facts);
-    ASSERT_EQ(batched.size(), facts.size());
-    for (size_t i = 0; i < facts.size(); ++i) {
-      ExpectScoresIdentical(system.Score(facts[i]), batched[i], i);
-    }
-    // Scoring is const: a second pass is bitwise identical.
-    const std::vector<Scores> again = system.ScoreBatch(facts);
-    for (size_t i = 0; i < facts.size(); ++i) {
-      ExpectScoresIdentical(batched[i], again[i], i);
+    const AnoT system = AnoT::Build(*train_, OnlineOptions(threads));
+    for (size_t i = 0; i < count; ++i) {
+      const Scores first = system.Score((*stream_)[i]);
+      ExpectScoresIdentical(ref.Score((*stream_)[i]), first, i);
+      // Scoring is const: a second call is bitwise identical.
+      ExpectScoresIdentical(first, system.Score((*stream_)[i]), i);
     }
   }
 }
 
-TEST_F(OnlineFixture, EmptyAndSingletonBatches) {
-  AnoT system = AnoT::Build(*train_, OnlineOptions(2));
-  EXPECT_TRUE(system.ScoreBatch({}).empty());
-  EXPECT_TRUE(system.ProcessArrivalBatch({}).empty());
-  const std::vector<Scores> one =
-      system.ProcessArrivalBatch({stream_->front()});
-  ASSERT_EQ(one.size(), 1u);
-}
+// ---------------------------------------------------- sequential arrivals
 
-// --------------------------------------------- ordered-commit equivalence
-
-TEST_F(OnlineFixture, BatchedArrivalsBitIdenticalToSequential) {
-  const AnoTOptions sequential_options = OnlineOptions(1);
-  const RunOutcome ref = RunSequential(*train_, sequential_options, *stream_);
+TEST_F(OnlineFixture, ArrivalsBitIdenticalAcrossBuildThreads) {
+  const RunOutcome ref = RunSequential(*train_, OnlineOptions(1), *stream_);
   ASSERT_GT(ref.effects.facts_ingested, 0u)
       << "stream never ingests: the equivalence case is vacuous";
   ASSERT_LT(ref.effects.facts_ingested, stream_->size())
-      << "stream always ingests: the speculative path is never exercised";
+      << "stream always ingests: the threshold gate is never exercised";
 
   for (size_t threads : ThreadCountsUnderTest()) {
-    for (size_t batch : {size_t{1}, size_t{7}, size_t{64}}) {
-      const RunOutcome got =
-          RunBatched(*train_, OnlineOptions(threads), *stream_, batch);
-      ExpectOutcomesIdentical(ref, got, threads, batch);
-    }
+    const RunOutcome got =
+        RunSequential(*train_, OnlineOptions(threads), *stream_);
+    ExpectOutcomesIdentical(ref, got, threads);
   }
 }
 
 // ------------------------------------------------- refresh mid-stream
 
-TEST_F(OnlineFixture, AutoRefreshMidBatchBitIdenticalToSequential) {
+TEST_F(OnlineFixture, AutoRefreshMidStreamBitIdenticalAcrossBuildThreads) {
   AnoTOptions options = OnlineOptions(1);
   options.auto_refresh = true;
   options.monitor.mode = MonitorOptions::Mode::kPerTimestamp;
 
   // A prefix of real (ingestable) facts, then a dense flood of
   // unknown-entity garbage that blows the per-timestamp budget so Refresh
-  // fires *inside* a batch, then more real facts scored against the
-  // rebuilt rule graph. The ingested prefix makes the refreshed graph
-  // differ from the offline build.
+  // fires mid-stream, then more real facts scored against the rebuilt
+  // rule graph. The ingested prefix makes the refreshed graph differ from
+  // the offline build.
   std::vector<Fact> stream;
   const EntityId base = static_cast<EntityId>(graph_->num_entities());
   const Timestamp t0 = graph_->max_time() + 1;
@@ -236,10 +196,8 @@ TEST_F(OnlineFixture, AutoRefreshMidBatchBitIdenticalToSequential) {
   for (size_t threads : ThreadCountsUnderTest()) {
     AnoTOptions par = options;
     par.num_threads = threads;
-    for (size_t batch : {size_t{7}, size_t{64}}) {
-      const RunOutcome got = RunBatched(*train_, par, stream, batch);
-      ExpectOutcomesIdentical(ref, got, threads, batch);
-    }
+    const RunOutcome got = RunSequential(*train_, par, stream);
+    ExpectOutcomesIdentical(ref, got, threads);
   }
 }
 

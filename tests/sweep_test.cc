@@ -21,7 +21,6 @@ namespace {
 void ExpectSameMetrics(const EvalResult& expected, const EvalResult& actual) {
   EXPECT_EQ(expected.model, actual.model);
   EXPECT_EQ(expected.dataset, actual.dataset);
-  EXPECT_EQ(expected.score_batch_size, actual.score_batch_size);
   auto expect_task = [](const TaskResult& e, const TaskResult& a,
                         const char* task) {
     EXPECT_EQ(e.precision, a.precision) << task;

@@ -95,7 +95,7 @@ inline void PrintHeader(const char* what) {
   std::printf("=== %s ===\n", what);
   std::printf(
       "(synthetic presets mirroring Table 1 statistics; ANOT_SCALE=%.3g; "
-      "see DESIGN.md for the substitution rationale)\n\n",
+      "see README \"Deviations from the paper\")\n\n",
       DatasetPresets::EnvScale());
 }
 

@@ -1,7 +1,8 @@
-// Design-choice ablation (DESIGN.md §3): θ semantics in Eq. 10 — the
-// printed formula (agreement count lowers evidence) vs the prose-faithful
-// normalized-mismatch realization used by default. The four (dataset,
-// mode) cells run as one experiment sweep on the ANOT_THREADS pool.
+// Design-choice ablation (README "Deviations from the paper"): θ
+// semantics in Eq. 10 — the printed formula (agreement count lowers
+// evidence) vs the prose-faithful normalized-mismatch realization used by
+// default. The four (dataset, mode) cells run as one experiment sweep on
+// the ANOT_THREADS pool.
 
 #include <deque>
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <memory>
 
+#include "mdl/encoding.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
@@ -40,6 +41,33 @@ CategoryOccurrences CountCategoryOccurrences(
     }
   }
   return occ;
+}
+
+/// Eq. 6: prefix-code bits of a rule's assertion subjects plus objects.
+/// Symbols are added in assertion-list order, which fixes the
+/// floating-point sum for every thread count.
+double RuleAssertionBits(const TemporalKnowledgeGraph& graph,
+                         const std::vector<FactId>& assertions) {
+  EntropyAccumulator subjects;
+  EntropyAccumulator objects;
+  for (FactId id : assertions) {
+    const Fact& f = graph.fact(id);
+    subjects.Add(f.subject);
+    objects.Add(f.object);
+  }
+  return subjects.TotalBits() + objects.TotalBits();
+}
+
+/// Eq. 7: prefix-code bits of an edge's timespans bucketed at the
+/// tolerance L, added in list order.
+double EdgeAssertionBits(const std::vector<Timestamp>& timespans,
+                         Timestamp tolerance) {
+  EntropyAccumulator buckets;
+  const Timestamp width = std::max<Timestamp>(1, tolerance);
+  for (Timestamp span : timespans) {
+    buckets.Add(static_cast<uint64_t>(span / width));
+  }
+  return buckets.TotalBits();
 }
 
 }  // namespace
@@ -104,8 +132,7 @@ RuleGraphBuilder::Output RuleGraphBuilder::Build(
       c.model_bits = AtomicRuleBits(universe, n_cs, occ.subject_total, n_co,
                                     occ.object_total,
                                     relation_counts[c.rule.relation]);
-      c.assertion_bits =
-          c.subject_entropy.TotalBits() + c.object_entropy.TotalBits();
+      c.assertion_bits = RuleAssertionBits(graph_, c.assertions);
       c.by_time = BuildDeltaHistogram(graph_, c.assertions);
     }
   });
@@ -116,7 +143,8 @@ RuleGraphBuilder::Output RuleGraphBuilder::Build(
       EdgeCandidate& e = pool.edges[i];
       e.model_bits =
           RuleEdgeBits(universe, e.kind == RuleEdgeKind::kTriadic);
-      e.assertion_bits = e.timespan_entropy.TotalBits();
+      e.assertion_bits =
+          EdgeAssertionBits(e.timespans, options_.timespan_tolerance);
       e.by_time = BuildDeltaHistogram(graph_, e.tail_facts);
     }
   });

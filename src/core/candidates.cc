@@ -52,7 +52,7 @@ uint32_t EnsureShardRule(const CandidatePool& global, ShardPool* shard,
 /// sight. Endpoints are combined-space indices.
 void AddShardEdgeAssertion(ShardPool* shard, RuleEdgeKind kind, uint32_t head,
                            uint32_t mid, uint32_t tail, FactId tail_fact,
-                           Timestamp span, Timestamp tolerance) {
+                           Timestamp span) {
   const uint64_t key = EdgeCandidateKey(kind, head, mid, tail);
   auto [it, inserted] =
       shard->edge_index.emplace(key, static_cast<uint32_t>(shard->edges.size()));
@@ -67,8 +67,6 @@ void AddShardEdgeAssertion(ShardPool* shard, RuleEdgeKind kind, uint32_t head,
   EdgeCandidate& e = shard->edges[it->second];
   e.tail_facts.push_back(tail_fact);
   e.timespans.push_back(span);
-  e.timespan_entropy.Add(
-      static_cast<uint64_t>(span / std::max<Timestamp>(1, tolerance)));
 }
 
 uint32_t RemapRuleIndex(uint32_t idx, uint32_t base,
@@ -96,8 +94,6 @@ void MergeShardRules(ShardPool* shard, CandidatePool* pool,
       RuleCandidate& dst = pool->rules[global_idx];
       dst.assertions.insert(dst.assertions.end(), local.assertions.begin(),
                             local.assertions.end());
-      dst.subject_entropy.Merge(local.subject_entropy);
-      dst.object_entropy.Merge(local.object_entropy);
     }
     (*to_global)[i] = global_idx;
   }
@@ -125,7 +121,6 @@ void MergeShardEdges(ShardPool* shard, const std::vector<uint32_t>& to_global,
                           local.tail_facts.end());
     dst.timespans.insert(dst.timespans.end(), local.timespans.begin(),
                          local.timespans.end());
-    dst.timespan_entropy.Merge(local.timespan_entropy);
   }
 }
 
@@ -185,8 +180,6 @@ void CandidateGenerator::GenerateRules(CandidatePool* pool,
           const uint32_t idx = EnsureShardRule(*pool, &shard, rule);
           RuleCandidate& c = shard.rules[idx - shard.base];
           c.assertions.push_back(id);
-          c.subject_entropy.Add(f.subject);
-          c.object_entropy.Add(f.object);
         }
       }
     }
@@ -259,8 +252,7 @@ void CandidateGenerator::GenerateChainEdges(CandidatePool* pool,
               const uint32_t tail_idx =
                   EnsureShardRule(*pool, &shard, tail_rule);
               AddShardEdgeAssertion(&shard, RuleEdgeKind::kChain, head_idx,
-                                    kInvalidId, tail_idx, seq[n], span,
-                                    options_.timespan_tolerance);
+                                    kInvalidId, tail_idx, seq[n], span);
             }
           }
         }
@@ -365,8 +357,7 @@ void CandidateGenerator::GenerateTriadicEdges(CandidatePool* pool,
               // One assertion per (edge, tail fact).
               if (!local_edges.insert(ekey).second) continue;
               AddShardEdgeAssertion(&shard, RuleEdgeKind::kTriadic, head_idx,
-                                    mid_idx, tail_idx, id, span,
-                                    options_.timespan_tolerance);
+                                    mid_idx, tail_idx, id, span);
             }
           }
         }
@@ -401,15 +392,6 @@ CandidatePool CandidateGenerator::Generate(ThreadPool* workers) const {
   GenerateRules(&pool, workers);
   GenerateChainEdges(&pool, workers);
   if (options_.use_triadic) GenerateTriadicEdges(&pool, workers);
-
-  // All shard merges are done; the replay logs have served their purpose.
-  // Dropping them reclaims one uint64 per assertion — on large graphs that
-  // is on the order of the candidate pool itself.
-  for (RuleCandidate& c : pool.rules) {
-    c.subject_entropy.DropReplayLog();
-    c.object_entropy.DropReplayLog();
-  }
-  for (EdgeCandidate& e : pool.edges) e.timespan_entropy.DropReplayLog();
 
   if (pool.edges.size() > options_.max_candidate_edges) {
     // Keep the highest-support edges; stable/deterministic.

@@ -3,7 +3,6 @@
 #include <vector>
 
 #include "core/options.h"
-#include "mdl/encoding.h"
 #include "mining/category_function.h"
 #include "rulegraph/rule_graph.h"
 #include "tkg/graph.h"
@@ -39,11 +38,8 @@ struct RuleCandidate {
   AtomicRule rule;
   /// Facts this rule describes (A_v).
   std::vector<FactId> assertions;
-  /// Optimal-prefix-code accounting for Eq. 6.
-  EntropyAccumulator subject_entropy;
-  EntropyAccumulator object_entropy;
-  /// Model + assertion bits and the per-timestamp assertion histogram,
-  /// filled by the builder.
+  /// Model + assertion bits (Eq. 6, priced from `assertions`) and the
+  /// per-timestamp assertion histogram, filled by the builder.
   double model_bits = 0.0;
   double assertion_bits = 0.0;
   DeltaHistogram by_time;
@@ -69,9 +65,8 @@ struct EdgeCandidate {
   uint32_t tail = 0;
   std::vector<FactId> tail_facts;
   std::vector<Timestamp> timespans;  // parallel to tail_facts
-  EntropyAccumulator timespan_entropy;
-  /// Model + assertion bits and the per-timestamp tail-fact histogram,
-  /// filled by the builder.
+  /// Model + assertion bits (Eq. 7, priced from `timespans`) and the
+  /// per-timestamp tail-fact histogram, filled by the builder.
   double model_bits = 0.0;
   double assertion_bits = 0.0;
   DeltaHistogram by_time;
@@ -99,9 +94,11 @@ struct CandidatePool {
 /// size. Shards accumulate into private pools — reading the global pool of
 /// the previous phases, which stays frozen during the scan — and are then
 /// merged in shard-index order. First-occurrence order over the shard
-/// concatenation equals the sequential scan order and all entropy costs
-/// are canonical in the symbol multiset, so the resulting pool is
-/// bit-identical for every thread count (including 1).
+/// concatenation equals the sequential scan order, and each candidate's
+/// assertion list is the concatenation of its shards' lists, i.e. the
+/// sequential scan's list. The builder prices code lengths from those
+/// lists in order, so the pool and its costs are bit-identical for every
+/// thread count (including 1).
 class CandidateGenerator {
  public:
   CandidateGenerator(const TemporalKnowledgeGraph& graph,

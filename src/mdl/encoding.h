@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <unordered_map>
-#include <vector>
 
 #include "util/math_util.h"
 
@@ -10,7 +9,7 @@ namespace anot {
 
 /// \brief MDL cost terms for rule-graph model selection (paper §4.2).
 ///
-/// Implementation notes (documented deviations in DESIGN.md §3):
+/// Implementation notes (see README "Deviations from the paper"):
 ///  * Code-length denominators are fixed to quantities of the *data* (G)
 ///    or the candidate universe rather than the evolving model, keeping
 ///    every candidate's model cost a precomputable constant so the greedy
@@ -60,29 +59,13 @@ double NegativeErrorBitsAt(double tier1_universe, double tier2_universe,
 /// maintained incrementally as assertions are added.
 ///
 /// The floating-point value of the incremental sum depends on the Add
-/// order, so sharded parallel candidate generation records each shard's
-/// symbol sequence and Merge() *replays* it. Merging shard accumulators in
-/// shard-index order therefore reproduces the sequential scan's
-/// accumulation bit for bit, which is what makes N-thread builds
-/// byte-identical to 1-thread builds.
+/// order. The builder prices each candidate by adding the symbols of its
+/// assertion list in list order; that list is a deterministic function of
+/// the graph (sharded generation merges in shard-index order), so the
+/// bits are identical for every thread count.
 class EntropyAccumulator {
  public:
   void Add(uint64_t symbol);
-
-  /// Replays the other accumulator's Add sequence into this one. The
-  /// result is bitwise equal to having issued the same Adds here directly.
-  /// Fatal when either side has dropped its replay log: a dropped source
-  /// cannot be replayed, and replaying into a dropped target would leave
-  /// it with a partial log that silently breaks *its* future merges.
-  void Merge(const EntropyAccumulator& other);
-
-  /// Discards the replay log once deterministic merging is finished,
-  /// reclaiming the one-entry-per-Add footprint (on large graphs the logs
-  /// roughly double the candidate pool's memory). TotalBits()/total() are
-  /// unaffected; subsequent Adds still update the counts but are no longer
-  /// logged, and any further Merge involving this accumulator is fatal.
-  void DropReplayLog();
-  bool replay_log_dropped() const { return log_dropped_; }
 
   /// Total bits = n log2 n - sum_c c log2 c.
   double TotalBits() const;
@@ -90,12 +73,8 @@ class EntropyAccumulator {
 
  private:
   std::unordered_map<uint64_t, uint64_t> counts_;
-  /// Symbols in Add order (replay log for Merge); one entry per Add — the
-  /// same footprint as the assertion list the caller already keeps.
-  std::vector<uint64_t> events_;
   double sum_clog2c_ = 0.0;
   uint64_t total_ = 0;
-  bool log_dropped_ = false;
 };
 
 }  // namespace anot

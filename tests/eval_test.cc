@@ -200,8 +200,9 @@ TEST(ProtocolTest, AnoTEndToEndProducesSaneMetrics) {
   EXPECT_GT(result.conceptual.precision, 0.4);
   // Missing detection should beat the 50% base rate of its candidate set.
   EXPECT_GT(result.missing.pr_auc, 0.6);
-  // Time detection beats its ~0.176 base rate (time errors on recurrent
-  // facts are intrinsically hard; see DESIGN.md).
+  // Time detection beats its ~0.176 base rate (time errors are hard to
+  // detect on the synthetic worlds; see README "Deviations from the
+  // paper").
   EXPECT_GT(result.time.pr_auc, 0.18);
   EXPECT_GT(result.throughput, 100.0);
   EXPECT_GT(result.fit_seconds, 0.0);

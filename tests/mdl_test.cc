@@ -110,39 +110,6 @@ TEST(EntropyTest, EmptyIsZero) {
   EXPECT_DOUBLE_EQ(acc.TotalBits(), 0.0);
 }
 
-TEST(EntropyTest, DropReplayLogAfterMergePreservesTotals) {
-  EntropyAccumulator a, b;
-  a.Add(1);
-  a.Add(2);
-  b.Add(2);
-  b.Add(2);
-  b.Add(3);
-  a.Merge(b);
-  const double bits_before = a.TotalBits();
-  const uint64_t total_before = a.total();
-  EXPECT_FALSE(a.replay_log_dropped());
-  a.DropReplayLog();
-  EXPECT_TRUE(a.replay_log_dropped());
-  EXPECT_EQ(a.TotalBits(), bits_before);
-  EXPECT_EQ(a.total(), total_before);
-  // Counting keeps working after the drop; only replayability is gone.
-  a.Add(3);
-  EXPECT_EQ(a.total(), total_before + 1);
-  EXPECT_GT(a.TotalBits(), 0.0);
-}
-
-TEST(EntropyDeathTest, MergeAfterDropIsFatal) {
-  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-  EntropyAccumulator dropped, intact;
-  dropped.Add(1);
-  dropped.DropReplayLog();
-  intact.Add(2);
-  // A dropped source cannot be replayed...
-  EXPECT_DEATH(intact.Merge(dropped), "DropReplayLog");
-  // ...and a dropped target would end up with a partial log.
-  EXPECT_DEATH(dropped.Merge(intact), "DropReplayLog");
-}
-
 // ------------------------------------------------------------------ Ledger
 
 TEST(LedgerTest, TotalCostTracksTimestamps) {

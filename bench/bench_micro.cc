@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include <filesystem>
+#include <memory>
 
 #include "core/anot.h"
 #include "core/candidates.h"
@@ -15,6 +16,7 @@
 #include "mining/category_function.h"
 #include "mining/prefixspan.h"
 #include "tkg/split.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace anot {
@@ -121,15 +123,56 @@ void BM_PrefixSpan(benchmark::State& state) {
 }
 BENCHMARK(BM_PrefixSpan);
 
+/// True when two category functions hold the same categories (combination
+/// and members per id) and assign them to the same entities.
+bool CategoryFunctionsIdentical(const CategoryFunction& a,
+                                const CategoryFunction& b,
+                                size_t num_entities) {
+  if (a.num_categories() != b.num_categories()) return false;
+  for (CategoryId c = 0; c < a.num_categories(); ++c) {
+    if (a.Combination(c) != b.Combination(c) ||
+        a.Members(c) != b.Members(c)) {
+      return false;
+    }
+  }
+  for (EntityId e = 0; e < num_entities; ++e) {
+    if (a.Categories(e) != b.Categories(e)) return false;
+  }
+  return true;
+}
+
+// Category-function build (§4.3.1) on the 12k-fact world at 1/4 worker
+// threads, timed in wall clock on a worker pool built outside the timed
+// loop. The threaded row first compares its categories with a 1-thread
+// build and fails the benchmark if they ever disagree.
 void BM_CategoryFunctionBuild(benchmark::State& state) {
   const auto& g = SharedGraph();
   CategoryFunctionOptions opts;
+  const size_t threads = static_cast<size_t>(state.range(0));
+  std::unique_ptr<ThreadPool> workers;
+  if (threads > 1) workers = std::make_unique<ThreadPool>(threads);
+
+  if (workers != nullptr &&
+      !CategoryFunctionsIdentical(CategoryFunction::Build(g, opts),
+                                  CategoryFunction::Build(g, opts,
+                                                          workers.get()),
+                                  g.num_entities())) {
+    state.SkipWithError(
+        "1-thread and N-thread category functions disagree; timings are "
+        "meaningless");
+    return;
+  }
+
   for (auto _ : state) {
-    auto fn = CategoryFunction::Build(g, opts);
+    auto fn = CategoryFunction::Build(g, opts, workers.get());
     benchmark::DoNotOptimize(fn.num_categories());
   }
 }
-BENCHMARK(BM_CategoryFunctionBuild);
+BENCHMARK(BM_CategoryFunctionBuild)
+    ->Arg(1)
+    ->Arg(4)
+    ->ArgName("threads")
+    ->UseRealTime();
 
 void BM_MdlNegativeErrorBits(benchmark::State& state) {
   double acc = 0;
@@ -206,9 +249,11 @@ bool PoolsIdentical(const CandidatePool& a, const CandidatePool& b) {
 }
 
 // Candidate generation (§4.3.2) alone on the small world at 1/4 worker
-// threads, timed in wall clock; the category function is built once,
-// outside the timed loop. The threaded row first compares its pool with a
-// 1-thread pool and fails the benchmark if they ever disagree.
+// threads, timed in wall clock. The category function and the worker pool
+// are built once, outside the timed loop, and each iteration runs
+// Generate() on that pool as the rule-graph builder does. The threaded row
+// first compares its pool with a 1-thread pool and fails the benchmark if
+// they ever disagree.
 void BM_CandidateGeneration(benchmark::State& state) {
   SyntheticGenerator gen(BenchWorld(3000));
   auto graph = gen.Generate();
@@ -218,11 +263,13 @@ void BM_CandidateGeneration(benchmark::State& state) {
       CategoryFunction::Build(*graph, options.category);
   const size_t threads = static_cast<size_t>(state.range(0));
   const CandidateGenerator generator(*graph, categories, options, threads);
+  std::unique_ptr<ThreadPool> workers;
+  if (threads > 1) workers = std::make_unique<ThreadPool>(threads);
 
-  if (threads > 1 &&
+  if (workers != nullptr &&
       !PoolsIdentical(
           CandidateGenerator(*graph, categories, options, 1).Generate(),
-          generator.Generate())) {
+          generator.Generate(workers.get()))) {
     state.SkipWithError(
         "1-thread and N-thread candidate pools disagree; timings are "
         "meaningless");
@@ -230,7 +277,7 @@ void BM_CandidateGeneration(benchmark::State& state) {
   }
 
   for (auto _ : state) {
-    CandidatePool pool = generator.Generate();
+    CandidatePool pool = generator.Generate(workers.get());
     benchmark::DoNotOptimize(pool.edges.size());
   }
   state.SetItemsProcessed(state.iterations() * graph->num_facts());

@@ -17,110 +17,61 @@ uint64_t EdgeCandidateKey(RuleEdgeKind kind, uint32_t head, uint32_t mid,
       h ^ (kind == RuleEdgeKind::kTriadic ? 0xABCDu : 0u));
 }
 
-/// Private accumulator of one shard of a generation phase.
-///
-/// Rule indices live in a *combined* space: indices below `base` refer to
-/// the frozen global pool, indices at or above it to `rules` (offset by
-/// `base`). Edge endpoints are stored in combined space and remapped to
-/// final global indices at merge time.
-struct ShardPool {
-  uint32_t base = 0;  // global pool size when the phase started
-  std::vector<RuleCandidate> rules;
-  dense_map<AtomicRule, uint32_t, AtomicRuleHash> rule_index;
-  std::vector<EdgeCandidate> edges;
-  dense_map<uint64_t, uint32_t> edge_index;
-};
-
-/// Combined-space EnsureRule: resolves against the frozen global pool
-/// first, then the shard's private additions.
-uint32_t EnsureShardRule(const CandidatePool& global, ShardPool* shard,
-                         const AtomicRule& rule) {
-  auto git = global.rule_index.find(rule);
-  if (git != global.rule_index.end()) return git->second;
-  const uint32_t next =
-      shard->base + static_cast<uint32_t>(shard->rules.size());
-  auto [it, inserted] = shard->rule_index.emplace(rule, next);
-  if (inserted) {
-    RuleCandidate candidate;
-    candidate.rule = rule;
-    shard->rules.push_back(std::move(candidate));
-  }
+/// Index of `rule` in the pool. An edge endpoint is always the rule of
+/// some fact of the graph, so the rules phase has already added it.
+uint32_t RuleIndex(const CandidatePool& pool, const AtomicRule& rule) {
+  auto it = pool.rule_index.find(rule);
+  ANOT_CHECK(it != pool.rule_index.end())
+      << "edge endpoint is not a candidate rule";
   return it->second;
 }
 
-/// Records one edge assertion in the shard, creating the edge on first
-/// sight. Endpoints are combined-space indices.
-void AddShardEdgeAssertion(ShardPool* shard, RuleEdgeKind kind, uint32_t head,
-                           uint32_t mid, uint32_t tail, FactId tail_fact,
-                           Timestamp span) {
-  const uint64_t key = EdgeCandidateKey(kind, head, mid, tail);
-  auto [it, inserted] =
-      shard->edge_index.emplace(key, static_cast<uint32_t>(shard->edges.size()));
-  if (inserted) {
-    EdgeCandidate e;
-    e.kind = kind;
-    e.head = head;
-    e.mid = mid;
-    e.tail = tail;
-    shard->edges.push_back(std::move(e));
-  }
-  EdgeCandidate& e = shard->edges[it->second];
-  e.tail_facts.push_back(tail_fact);
-  e.timespans.push_back(span);
-}
+/// Edges found by one shard of an edge phase, in first-occurrence order.
+struct EdgeShard {
+  std::vector<EdgeCandidate> edges;
+  dense_map<uint64_t, uint32_t> edge_index;
 
-uint32_t RemapRuleIndex(uint32_t idx, uint32_t base,
-                        const std::vector<uint32_t>& to_global) {
-  if (idx == kInvalidId || idx < base) return idx;
-  return to_global[idx - base];
-}
-
-/// Folds one shard's rules into the global pool (shard-index order across
-/// shards ⇒ first-occurrence order equals the sequential scan) and fills
-/// the combined-space → global translation for the shard's additions.
-void MergeShardRules(ShardPool* shard, CandidatePool* pool,
-                     std::vector<uint32_t>* to_global) {
-  to_global->resize(shard->rules.size());
-  for (size_t i = 0; i < shard->rules.size(); ++i) {
-    RuleCandidate& local = shard->rules[i];
-    auto it = pool->rule_index.find(local.rule);
-    uint32_t global_idx;
-    if (it == pool->rule_index.end()) {
-      global_idx = static_cast<uint32_t>(pool->rules.size());
-      pool->rule_index.emplace(local.rule, global_idx);
-      pool->rules.push_back(std::move(local));
-    } else {
-      global_idx = it->second;
-      RuleCandidate& dst = pool->rules[global_idx];
-      dst.assertions.insert(dst.assertions.end(), local.assertions.begin(),
-                            local.assertions.end());
-    }
-    (*to_global)[i] = global_idx;
-  }
-}
-
-/// Folds one shard's edges into the phase-global edge pool, remapping
-/// endpoints to final rule indices.
-void MergeShardEdges(ShardPool* shard, const std::vector<uint32_t>& to_global,
-                     CandidatePool* pool,
-                     dense_map<uint64_t, uint32_t>* edge_index) {
-  for (EdgeCandidate& local : shard->edges) {
-    local.head = RemapRuleIndex(local.head, shard->base, to_global);
-    local.mid = RemapRuleIndex(local.mid, shard->base, to_global);
-    local.tail = RemapRuleIndex(local.tail, shard->base, to_global);
-    const uint64_t key =
-        EdgeCandidateKey(local.kind, local.head, local.mid, local.tail);
-    auto [it, inserted] =
-        edge_index->emplace(key, static_cast<uint32_t>(pool->edges.size()));
+  /// Records one assertion of an edge, creating the edge on first sight.
+  void Add(RuleEdgeKind kind, uint32_t head, uint32_t mid, uint32_t tail,
+           FactId tail_fact, Timestamp span) {
+    auto [it, inserted] = edge_index.emplace(
+        EdgeCandidateKey(kind, head, mid, tail),
+        static_cast<uint32_t>(edges.size()));
     if (inserted) {
-      pool->edges.push_back(std::move(local));
-      continue;
+      EdgeCandidate& e = edges.emplace_back();
+      e.kind = kind;
+      e.head = head;
+      e.mid = mid;
+      e.tail = tail;
     }
-    EdgeCandidate& dst = pool->edges[it->second];
-    dst.tail_facts.insert(dst.tail_facts.end(), local.tail_facts.begin(),
-                          local.tail_facts.end());
-    dst.timespans.insert(dst.timespans.end(), local.timespans.begin(),
-                         local.timespans.end());
+    EdgeCandidate& e = edges[it->second];
+    e.tail_facts.push_back(tail_fact);
+    e.timespans.push_back(span);
+  }
+};
+
+/// Appends the shards' edges to the pool in shard order. An edge the pool
+/// already holds gets the shard's assertions appended to its own, so every
+/// assertion list is the one the sequential scan builds. `edge_index` maps
+/// the pool's edge keys to their positions.
+void MergeEdgeShards(std::vector<EdgeShard>* shards, CandidatePool* pool,
+                     dense_map<uint64_t, uint32_t>* edge_index) {
+  for (EdgeShard& shard : *shards) {
+    for (EdgeCandidate& local : shard.edges) {
+      auto [it, inserted] = edge_index->emplace(
+          EdgeCandidateKey(local.kind, local.head, local.mid, local.tail),
+          static_cast<uint32_t>(pool->edges.size()));
+      if (inserted) {
+        pool->edges.push_back(std::move(local));
+        continue;
+      }
+      EdgeCandidate& dst = pool->edges[it->second];
+      dst.tail_facts.insert(dst.tail_facts.end(), local.tail_facts.begin(),
+                            local.tail_facts.end());
+      dst.timespans.insert(dst.timespans.end(), local.timespans.begin(),
+                           local.timespans.end());
+    }
+    shard = EdgeShard();  // release the merged shard's memory early
   }
 }
 
@@ -159,40 +110,24 @@ CandidateGenerator::CandidateGenerator(const TemporalKnowledgeGraph& graph,
       options_(options),
       num_threads_(ResolveNumThreads(num_threads)) {}
 
-void CandidateGenerator::GenerateRules(CandidatePool* pool,
-                                       ThreadPool* workers) const {
-  const size_t n = graph_.num_facts();
-  const size_t num_shards = DeterministicShardCount(n);
-  std::vector<ShardPool> shards(num_shards);
-  for (ShardPool& s : shards) {
-    s.base = static_cast<uint32_t>(pool->rules.size());
-  }
-
-  ParallelForShards(workers, n, num_shards,
-                    [&](size_t shard_idx, size_t begin, size_t end) {
-    ShardPool& shard = shards[shard_idx];
-    for (FactId id = static_cast<FactId>(begin);
-         id < static_cast<FactId>(end); ++id) {
-      const Fact& f = graph_.fact(id);
-      for (CategoryId cs : categories_.Categories(f.subject)) {
-        for (CategoryId co : categories_.Categories(f.object)) {
-          AtomicRule rule{cs, f.relation, co};
-          const uint32_t idx = EnsureShardRule(*pool, &shard, rule);
-          RuleCandidate& c = shard.rules[idx - shard.base];
-          c.assertions.push_back(id);
-        }
+void CandidateGenerator::GenerateRules(CandidatePool* pool) const {
+  for (FactId id = 0; id < static_cast<FactId>(graph_.num_facts()); ++id) {
+    const Fact& f = graph_.fact(id);
+    for (CategoryId cs : categories_.Categories(f.subject)) {
+      for (CategoryId co : categories_.Categories(f.object)) {
+        const AtomicRule rule{cs, f.relation, co};
+        auto [it, inserted] = pool->rule_index.emplace(
+            rule, static_cast<uint32_t>(pool->rules.size()));
+        if (inserted) pool->rules.emplace_back().rule = rule;
+        pool->rules[it->second].assertions.push_back(id);
       }
     }
-  });
-
-  for (ShardPool& shard : shards) {
-    std::vector<uint32_t> to_global;
-    MergeShardRules(&shard, pool, &to_global);
   }
 }
 
-void CandidateGenerator::GenerateChainEdges(CandidatePool* pool,
-                                            ThreadPool* workers) const {
+void CandidateGenerator::GenerateChainEdges(
+    CandidatePool* pool, dense_map<uint64_t, uint32_t>* edge_index,
+    ThreadPool* workers) const {
   // Deterministic order: sort pair keys.
   std::vector<uint64_t> pair_keys;
   pair_keys.reserve(graph_.pair_sequences().size());
@@ -203,15 +138,12 @@ void CandidateGenerator::GenerateChainEdges(CandidatePool* pool,
   }
   std::sort(pair_keys.begin(), pair_keys.end());
 
+  const CandidatePool& rules = *pool;  // frozen while the shards scan
   const size_t num_shards = DeterministicShardCount(pair_keys.size());
-  std::vector<ShardPool> shards(num_shards);
-  for (ShardPool& s : shards) {
-    s.base = static_cast<uint32_t>(pool->rules.size());
-  }
-
+  std::vector<EdgeShard> shards(num_shards);
   ParallelForShards(workers, pair_keys.size(), num_shards,
                     [&](size_t shard_idx, size_t begin, size_t end) {
-    ShardPool& shard = shards[shard_idx];
+    EdgeShard& shard = shards[shard_idx];
     for (size_t k = begin; k < end; ++k) {
       const uint64_t key = pair_keys[k];
       const auto& seq = graph_.pair_sequences().at(key);
@@ -245,47 +177,31 @@ void CandidateGenerator::GenerateChainEdges(CandidatePool* pool,
           const Timestamp span = tail_time - head_time;
           for (CategoryId cs : subject_cats) {
             for (CategoryId co : object_cats) {
-              AtomicRule head_rule{cs, head_fact.relation, co};
-              AtomicRule tail_rule{cs, tail_fact.relation, co};
-              const uint32_t head_idx =
-                  EnsureShardRule(*pool, &shard, head_rule);
-              const uint32_t tail_idx =
-                  EnsureShardRule(*pool, &shard, tail_rule);
-              AddShardEdgeAssertion(&shard, RuleEdgeKind::kChain, head_idx,
-                                    kInvalidId, tail_idx, seq[n], span);
+              shard.Add(RuleEdgeKind::kChain,
+                        RuleIndex(rules, {cs, head_fact.relation, co}),
+                        kInvalidId,
+                        RuleIndex(rules, {cs, tail_fact.relation, co}),
+                        seq[n], span);
             }
           }
         }
       }
     }
   });
-
-  dense_map<uint64_t, uint32_t> edge_index;
-  edge_index.reserve(pool->edges.size());
-  for (uint32_t i = 0; i < pool->edges.size(); ++i) {
-    const EdgeCandidate& e = pool->edges[i];
-    edge_index.emplace(EdgeCandidateKey(e.kind, e.head, e.mid, e.tail), i);
-  }
-  for (ShardPool& shard : shards) {
-    std::vector<uint32_t> to_global;
-    MergeShardRules(&shard, pool, &to_global);
-    MergeShardEdges(&shard, to_global, pool, &edge_index);
-  }
+  MergeEdgeShards(&shards, pool, edge_index);
 }
 
-void CandidateGenerator::GenerateTriadicEdges(CandidatePool* pool,
-                                              ThreadPool* workers) const {
+void CandidateGenerator::GenerateTriadicEdges(
+    CandidatePool* pool, dense_map<uint64_t, uint32_t>* edge_index,
+    ThreadPool* workers) const {
   const Timestamp window = options_.timespan_tolerance;
+  const CandidatePool& rules = *pool;  // frozen while the shards scan
   const size_t n = graph_.num_facts();
   const size_t num_shards = DeterministicShardCount(n);
-  std::vector<ShardPool> shards(num_shards);
-  for (ShardPool& s : shards) {
-    s.base = static_cast<uint32_t>(pool->rules.size());
-  }
-
+  std::vector<EdgeShard> shards(num_shards);
   ParallelForShards(workers, n, num_shards,
                     [&](size_t shard_idx, size_t begin, size_t end) {
-    ShardPool& shard = shards[shard_idx];
+    EdgeShard& shard = shards[shard_idx];
     for (FactId id = static_cast<FactId>(begin);
          id < static_cast<FactId>(end); ++id) {
       const Fact& f = graph_.fact(id);  // the closing fact (s, r_p, h, t)
@@ -343,21 +259,19 @@ void CandidateGenerator::GenerateTriadicEdges(CandidatePool* pool,
         for (CategoryId cs : cs_list) {
           for (CategoryId ch : ch_list) {
             for (CategoryId cp : categories_.Categories(p)) {
-              AtomicRule head_rule{cs, g1.relation, cp};
-              AtomicRule mid_rule{ch, g2.relation, cp};
-              AtomicRule tail_rule{cs, f.relation, ch};
               const uint32_t head_idx =
-                  EnsureShardRule(*pool, &shard, head_rule);
-              const uint32_t mid_idx =
-                  EnsureShardRule(*pool, &shard, mid_rule);
-              const uint32_t tail_idx =
-                  EnsureShardRule(*pool, &shard, tail_rule);
-              const uint64_t ekey = EdgeCandidateKey(
-                  RuleEdgeKind::kTriadic, head_idx, mid_idx, tail_idx);
+                  RuleIndex(rules, {cs, g1.relation, cp});
+              const uint32_t mid_idx = RuleIndex(rules, {ch, g2.relation, cp});
+              const uint32_t tail_idx = RuleIndex(rules, {cs, f.relation, ch});
               // One assertion per (edge, tail fact).
-              if (!local_edges.insert(ekey).second) continue;
-              AddShardEdgeAssertion(&shard, RuleEdgeKind::kTriadic, head_idx,
-                                    mid_idx, tail_idx, id, span);
+              if (!local_edges
+                       .insert(EdgeCandidateKey(RuleEdgeKind::kTriadic,
+                                                head_idx, mid_idx, tail_idx))
+                       .second) {
+                continue;
+              }
+              shard.Add(RuleEdgeKind::kTriadic, head_idx, mid_idx, tail_idx,
+                        id, span);
             }
           }
         }
@@ -365,18 +279,7 @@ void CandidateGenerator::GenerateTriadicEdges(CandidatePool* pool,
       }
     }
   });
-
-  dense_map<uint64_t, uint32_t> edge_index;
-  edge_index.reserve(pool->edges.size());
-  for (uint32_t i = 0; i < pool->edges.size(); ++i) {
-    const EdgeCandidate& e = pool->edges[i];
-    edge_index.emplace(EdgeCandidateKey(e.kind, e.head, e.mid, e.tail), i);
-  }
-  for (ShardPool& shard : shards) {
-    std::vector<uint32_t> to_global;
-    MergeShardRules(&shard, pool, &to_global);
-    MergeShardEdges(&shard, to_global, pool, &edge_index);
-  }
+  MergeEdgeShards(&shards, pool, edge_index);
 }
 
 CandidatePool CandidateGenerator::Generate() const {
@@ -389,9 +292,13 @@ CandidatePool CandidateGenerator::Generate() const {
 
 CandidatePool CandidateGenerator::Generate(ThreadPool* workers) const {
   CandidatePool pool;
-  GenerateRules(&pool, workers);
-  GenerateChainEdges(&pool, workers);
-  if (options_.use_triadic) GenerateTriadicEdges(&pool, workers);
+  GenerateRules(&pool);
+  // Edge keys include the edge kind, so one index serves both edge phases.
+  dense_map<uint64_t, uint32_t> edge_index;
+  GenerateChainEdges(&pool, &edge_index, workers);
+  if (options_.use_triadic) {
+    GenerateTriadicEdges(&pool, &edge_index, workers);
+  }
 
   if (pool.edges.size() > options_.max_candidate_edges) {
     // Keep the highest-support edges; stable/deterministic.

@@ -89,16 +89,18 @@ struct CandidatePool {
 /// pair's interaction sequence (bounded lookback). Triadic edges: closures
 /// (s,r_m,p), (h,r_n,p) co-occurring within L followed by (s,r_p,h).
 ///
-/// Parallelism: each generation phase partitions its scan domain (facts or
-/// pair sequences) into shards whose boundaries depend only on the data
-/// size. Shards accumulate into private pools — reading the global pool of
-/// the previous phases, which stays frozen during the scan — and are then
-/// merged in shard-index order. First-occurrence order over the shard
-/// concatenation equals the sequential scan order, and each candidate's
-/// assertion list is the concatenation of its shards' lists, i.e. the
-/// sequential scan's list. The builder prices code lengths from those
-/// lists in order, so the pool and its costs are bit-identical for every
-/// thread count (including 1).
+/// Parallelism: the rules phase is one serial scan over the facts in id
+/// order, so rules appear in first-occurrence order with their assertions
+/// in fact order. Every edge endpoint is the rule of some fact, so the edge
+/// phases only look rules up in that pool, which stays frozen while they
+/// run. Each edge phase partitions its scan domain (pair sequences or
+/// facts) into shards whose boundaries depend only on the data size; a
+/// shard collects edges alone, and the shards are appended to the pool in
+/// shard-index order. First-occurrence order over the shard concatenation
+/// equals the sequential scan order, and each edge's assertion list is the
+/// concatenation of its shards' lists, i.e. the sequential scan's list. The
+/// builder prices code lengths from those lists in order, so the pool and
+/// its costs are bit-identical for every thread count (including 1).
 class CandidateGenerator {
  public:
   CandidateGenerator(const TemporalKnowledgeGraph& graph,
@@ -115,9 +117,14 @@ class CandidateGenerator {
   CandidatePool Generate(ThreadPool* workers) const;
 
  private:
-  void GenerateRules(CandidatePool* pool, ThreadPool* workers) const;
-  void GenerateChainEdges(CandidatePool* pool, ThreadPool* workers) const;
-  void GenerateTriadicEdges(CandidatePool* pool, ThreadPool* workers) const;
+  void GenerateRules(CandidatePool* pool) const;
+  // `edge_index` maps the keys of the pool's edges to their positions.
+  void GenerateChainEdges(CandidatePool* pool,
+                          dense_map<uint64_t, uint32_t>* edge_index,
+                          ThreadPool* workers) const;
+  void GenerateTriadicEdges(CandidatePool* pool,
+                            dense_map<uint64_t, uint32_t>* edge_index,
+                            ThreadPool* workers) const;
 
   // anot-own: stack-scoped generation pass owned by RuleGraphBuilder's
   // Build() frame — the referenced graph/categories/options outlive that

@@ -52,16 +52,6 @@ struct ComboCandidate {
   std::vector<uint32_t> members;
 };
 
-/// Deterministic dedup key for a token set.
-uint64_t TokenSetKey(const std::vector<uint32_t>& tokens) {
-  uint64_t h = 1469598103934665603ull;
-  for (uint32_t t : tokens) {
-    h ^= t + 0x9E3779B9u;
-    h *= 1099511628211ull;
-  }
-  return h ^ tokens.size();
-}
-
 }  // namespace
 
 CategoryFunction CategoryFunction::Build(
@@ -116,32 +106,32 @@ CategoryFunction CategoryFunction::Build(
     combos.resize(options.max_aggregation_candidates);
   }
 
-  std::set<uint64_t> seen;
-  for (const auto& c : combos) seen.insert(TokenSetKey(c.tokens));
+  // Token sets already in `combos`: each combination is kept once.
+  std::set<std::vector<uint32_t>> seen;
+  for (const auto& c : combos) seen.insert(c.tokens);
 
   // Each round shards the quadratic pairwise scan over the outer index.
   // Shards only *read* the frozen combo list and `seen` set and record
   // their qualifying merge proposals in (i, j) scan order; the `seen`
   // insertion — the one piece of state the sequential loop mutates
   // mid-scan — is replayed at merge time in shard order, which equals the
-  // sequential scan order because shards are contiguous i-ranges. Keys
-  // already in the pre-round `seen`, or repeated within one shard, can
-  // never survive the replay, so shards filter them out up front (keeps
-  // the proposal buffers at the sequential loop's O(unique keys) instead
-  // of O(qualifying pairs)). The surviving `added` list is bit-identical
-  // for every worker count.
+  // sequential scan order because shards are contiguous i-ranges. Token
+  // sets already in the pre-round `seen`, or repeated within one shard,
+  // can never survive the replay, so shards filter them out up front
+  // (keeps the proposal buffers at the sequential loop's O(unique token
+  // sets) instead of O(qualifying pairs)). The surviving `added` list is
+  // bit-identical for every worker count.
   for (size_t round = 0;
        round < options.max_aggregation_rounds && !cancelled(); ++round) {
     const size_t n = combos.size();
     const size_t num_shards = DeterministicShardCount(n);
-    std::vector<std::vector<std::pair<uint64_t, ComboCandidate>>> proposals(
-        num_shards);
+    std::vector<std::vector<ComboCandidate>> proposals(num_shards);
     ParallelForShards(workers, n, num_shards,
                       [&](size_t shard_idx, size_t begin, size_t end) {
       auto& local = proposals[shard_idx];
-      std::set<uint64_t> local_seen;
-      auto fresh = [&](uint64_t key) {
-        return seen.count(key) == 0 && local_seen.insert(key).second;
+      std::set<std::vector<uint32_t>> local_seen;
+      auto fresh = [&](const std::vector<uint32_t>& tokens) {
+        return seen.count(tokens) == 0 && local_seen.insert(tokens).second;
       };
       for (size_t i = begin; i < end; ++i) {
         for (size_t j = i + 1; j < n; ++j) {
@@ -161,9 +151,9 @@ CategoryFunction CategoryFunction::Build(
             merged.tokens = Union(ci.tokens, cj.tokens);
             merged.members = Intersection(ci.members, cj.members);
             if (!merged.members.empty() &&
-                merged.members.size() >= options.min_support) {
-              const uint64_t key = TokenSetKey(merged.tokens);
-              if (fresh(key)) local.emplace_back(key, std::move(merged));
+                merged.members.size() >= options.min_support &&
+                fresh(merged.tokens)) {
+              local.push_back(std::move(merged));
             }
             continue;
           }
@@ -181,8 +171,7 @@ CategoryFunction CategoryFunction::Build(
             merged.tokens = Intersection(ci.tokens, cj.tokens);
             if (merged.tokens.empty()) continue;
             merged.members = Union(ci.members, cj.members);
-            const uint64_t key = TokenSetKey(merged.tokens);
-            if (fresh(key)) local.emplace_back(key, std::move(merged));
+            if (fresh(merged.tokens)) local.push_back(std::move(merged));
           }
         }
       }
@@ -193,8 +182,10 @@ CategoryFunction CategoryFunction::Build(
     // its candidates in deterministic pair-scan order — so first-wins
     // dedup via `seen` admits the same candidates for every thread count.
     for (auto& local : proposals) {
-      for (auto& [key, candidate] : local) {
-        if (seen.insert(key).second) added.push_back(std::move(candidate));
+      for (ComboCandidate& candidate : local) {
+        if (seen.insert(candidate.tokens).second) {
+          added.push_back(std::move(candidate));
+        }
       }
     }
     if (added.empty()) break;

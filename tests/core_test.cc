@@ -4,6 +4,7 @@
 #include <cmath>
 #include <map>
 #include <numeric>
+#include <tuple>
 
 #include "anomaly/injector.h"
 #include "core/anot.h"
@@ -121,6 +122,54 @@ TEST_F(CoreFixture, CandidateGenerationProducesRulesAndEdges) {
     EXPECT_EQ(e.tail_facts.size(), e.timespans.size());
   }
   EXPECT_TRUE(saw_triadic);
+}
+
+TEST_F(CoreFixture, CandidateRulesMatchFactOracle) {
+  // Brute force over facts in id order x C(s) x C(o): the rules in
+  // first-occurrence order, each with the facts it describes in id order.
+  const DetectorOptions opts = TestDetectorOptions();
+  auto categories = CategoryFunction::Build(*train_, opts.category);
+  const CandidatePool pool =
+      CandidateGenerator(*train_, categories, opts).Generate();
+
+  std::vector<AtomicRule> rules;
+  std::vector<std::vector<FactId>> assertions;
+  std::map<std::tuple<CategoryId, RelationId, CategoryId>, size_t> index;
+  for (FactId id = 0; id < static_cast<FactId>(train_->num_facts()); ++id) {
+    const Fact& f = train_->fact(id);
+    for (CategoryId cs : categories.Categories(f.subject)) {
+      for (CategoryId co : categories.Categories(f.object)) {
+        auto [it, inserted] =
+            index.emplace(std::make_tuple(cs, f.relation, co), rules.size());
+        if (inserted) {
+          rules.push_back(AtomicRule{cs, f.relation, co});
+          assertions.emplace_back();
+        }
+        assertions[it->second].push_back(id);
+      }
+    }
+  }
+  ASSERT_EQ(pool.rules.size(), rules.size());
+  for (size_t i = 0; i < rules.size(); ++i) {
+    ASSERT_TRUE(pool.rules[i].rule == rules[i]) << "rule " << i;
+    ASSERT_EQ(pool.rules[i].assertions, assertions[i]) << "rule " << i;
+  }
+
+  // Every edge's tail rule describes each of its tail facts.
+  ASSERT_FALSE(pool.edges.empty());
+  for (size_t i = 0; i < pool.edges.size(); ++i) {
+    const EdgeCandidate& e = pool.edges[i];
+    ASSERT_LT(e.tail, pool.rules.size()) << "edge " << i;
+    const AtomicRule& tail = pool.rules[e.tail].rule;
+    for (FactId id : e.tail_facts) {
+      const Fact& f = train_->fact(id);
+      ASSERT_EQ(f.relation, tail.relation) << "edge " << i;
+      ASSERT_TRUE(HasCategory(categories, f.subject, tail.subject_category))
+          << "edge " << i;
+      ASSERT_TRUE(HasCategory(categories, f.object, tail.object_category))
+          << "edge " << i;
+    }
+  }
 }
 
 TEST_F(CoreFixture, CandidateEdgeCapRespected) {
